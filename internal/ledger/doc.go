@@ -36,7 +36,9 @@
 //     entire spend history; Prove returns an inclusion proof for any
 //     committed record that VerifyInclusion checks offline against a
 //     published root, so any caller can verify that their charge — and
-//     everyone else's — is in the ledger the server claims to enforce.
+//     everyone else's — is in the ledger the server claims to enforce. It
+//     stores every complete subtree's hash (about 64 bytes per record), so
+//     Root and Prove cost O(log n) and do not stall a concurrent Append.
 //
 // FaultStore wraps any Store and fails or stalls the Nth commit, driving the
 // fail-closed paths (HTTP 503, degraded /healthz) in serving-layer tests.

@@ -3,6 +3,8 @@ package ledger
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -44,16 +46,14 @@ func EmptyRoot() Hash { return sha256.Sum256(nil) }
 // commits the entire committed prefix: changing, dropping, or reordering any
 // record changes the root, so a caller that remembers one root — or compares
 // roots with other callers — can detect a rewritten history. It is safe for
-// concurrent appends and reads.
+// concurrent appends and reads. It stores every complete subtree's hash
+// (about 64 bytes per record), so Root and Prove cost O(log n) and hold the
+// read lock for microseconds, never delaying a concurrent Append for long.
 type Tree struct {
-	mu     sync.RWMutex
-	leaves []Hash
-	// stack holds the roots of the maximal perfect subtrees of the current
-	// leaf sequence, largest first — the binary decomposition of len(leaves).
-	// Appending merges trailing equal-size subtrees, so the running root
-	// folds in O(log n) instead of rehashing the whole tree.
-	stack []Hash
-	sizes []uint64 // leaf count under each stack entry
+	mu sync.RWMutex
+	// levels[k][j] is the hash of the complete subtree over leaves
+	// [j·2^k, (j+1)·2^k); levels[0] holds the leaf hashes.
+	levels [64][]Hash
 }
 
 // Append adds one record encoding as the next leaf.
@@ -61,14 +61,15 @@ func (t *Tree) Append(leaf []byte) {
 	h := LeafHash(leaf)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.leaves = append(t.leaves, h)
-	t.stack = append(t.stack, h)
-	t.sizes = append(t.sizes, 1)
-	for n := len(t.stack); n >= 2 && t.sizes[n-1] == t.sizes[n-2]; n = len(t.stack) {
-		t.stack[n-2] = nodeHash(t.stack[n-2], t.stack[n-1])
-		t.sizes[n-2] *= 2
-		t.stack = t.stack[:n-1]
-		t.sizes = t.sizes[:n-1]
+	// A level that reaches an even length has completed a subtree one level
+	// up: merge upward until a level is left with an odd length.
+	for k := 0; ; k++ {
+		t.levels[k] = append(t.levels[k], h)
+		n := len(t.levels[k])
+		if n%2 == 1 {
+			return
+		}
+		h = nodeHash(t.levels[k][n-2], h)
 	}
 }
 
@@ -76,25 +77,30 @@ func (t *Tree) Append(leaf []byte) {
 func (t *Tree) Size() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return uint64(len(t.leaves))
+	return uint64(len(t.levels[0]))
 }
 
 // Root returns the current root and the size it commits to.
 func (t *Tree) Root() (Hash, uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rootLocked(), uint64(len(t.leaves))
+	n := uint64(len(t.levels[0]))
+	if n == 0 {
+		return EmptyRoot(), 0
+	}
+	return t.subtree(0, n), n
 }
 
-func (t *Tree) rootLocked() Hash {
-	if len(t.stack) == 0 {
-		return EmptyRoot()
-	}
-	// Fold the perfect-subtree roots right to left: exactly MTH(D[n]) for
-	// the RFC 6962 split at the largest power of two below n.
-	r := t.stack[len(t.stack)-1]
-	for i := len(t.stack) - 2; i >= 0; i-- {
-		r = nodeHash(t.stack[i], r)
+// subtree returns the RFC 6962 hash of leaves [lo, hi), a range the split
+// visits. Such a range starts at a multiple of a power of two no smaller than
+// hi-lo, so it is made of stored complete subtrees, one per set bit of hi-lo,
+// largest first; they fold right to left.
+func (t *Tree) subtree(lo, hi uint64) Hash {
+	k := bits.TrailingZeros64(hi - lo)
+	r := t.levels[k][hi>>k-1]
+	for hi -= 1 << k; hi > lo; hi -= 1 << k {
+		k = bits.TrailingZeros64(hi - lo)
+		r = nodeHash(t.levels[k][hi>>k-1], r)
 	}
 	return r
 }
@@ -117,47 +123,36 @@ type Proof struct {
 func (t *Tree) Prove(index uint64) (Proof, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := uint64(len(t.leaves))
+	n := uint64(len(t.levels[0]))
 	if index >= n {
 		return Proof{}, fmt.Errorf("ledger: proof index %d out of range (size %d)", index, n)
 	}
+	// Walk the RFC 6962 split from the root down to the leaf, collecting
+	// each sibling; the proof lists them bottom-up.
+	path := make([]Hash, 0, bits.Len64(n-1))
+	for lo, hi := uint64(0), n; hi-lo > 1; {
+		k := splitPoint(hi - lo)
+		if index < lo+k {
+			path = append(path, t.subtree(lo+k, hi))
+			hi = lo + k
+		} else {
+			path = append(path, t.subtree(lo, lo+k))
+			lo += k
+		}
+	}
+	slices.Reverse(path)
 	return Proof{
 		Index:    index,
 		Size:     n,
-		LeafHash: t.leaves[index],
-		Path:     authPath(t.leaves, index),
-		Root:     t.rootLocked(),
+		LeafHash: t.levels[0][index],
+		Path:     path,
+		Root:     t.subtree(0, n),
 	}, nil
 }
 
-// mth computes the RFC 6962 Merkle tree hash of a non-empty leaf-hash range.
-func mth(h []Hash) Hash {
-	if len(h) == 1 {
-		return h[0]
-	}
-	k := splitPoint(len(h))
-	return nodeHash(mth(h[:k]), mth(h[k:]))
-}
-
 // splitPoint returns the largest power of two strictly less than n (n >= 2).
-func splitPoint(n int) int {
-	k := 1
-	for 2*k < n {
-		k *= 2
-	}
-	return k
-}
-
-// authPath collects the sibling hashes proving leaves[i], bottom-up.
-func authPath(leaves []Hash, i uint64) []Hash {
-	if len(leaves) <= 1 {
-		return nil
-	}
-	k := uint64(splitPoint(len(leaves)))
-	if i < k {
-		return append(authPath(leaves[:k], i), mth(leaves[k:]))
-	}
-	return append(authPath(leaves[k:], i-k), mth(leaves[:k]))
+func splitPoint(n uint64) uint64 {
+	return 1 << (bits.Len64(n-1) - 1)
 }
 
 // VerifyInclusion recomputes the root from the proof's leaf hash and path
@@ -171,7 +166,9 @@ func VerifyInclusion(p Proof) bool {
 	return ok && r == p.Root
 }
 
-// rootFromPath folds the audit path mirroring authPath's recursion.
+// rootFromPath folds the audit path, mirroring the RFC 6962 split Prove
+// walks. Each step shortens size-1 by at least one bit, so it ends within 64
+// steps whatever the proof claims.
 func rootFromPath(leaf Hash, index, size uint64, path []Hash) (Hash, bool) {
 	if size == 0 || index >= size {
 		return Hash{}, false
@@ -183,7 +180,7 @@ func rootFromPath(leaf Hash, index, size uint64, path []Hash) (Hash, bool) {
 		return Hash{}, false
 	}
 	sib := path[len(path)-1]
-	k := uint64(splitPoint(int(size)))
+	k := splitPoint(size)
 	if index < k {
 		sub, ok := rootFromPath(leaf, index, k, path[:len(path)-1])
 		if !ok {

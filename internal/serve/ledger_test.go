@@ -137,16 +137,61 @@ func TestServeDurableCommitFailureFailsClosed(t *testing.T) {
 	}
 }
 
-// decodeHash parses one hex-encoded hash from a proof or root response.
+// parseHash parses one hex-encoded hash from a proof or root response.
+func parseHash(s string) (ledger.Hash, error) {
+	var h ledger.Hash
+	b, err := hex.DecodeString(s)
+	if err == nil && len(b) != len(h) {
+		err = fmt.Errorf("%d bytes, want %d", len(b), len(h))
+	}
+	copy(h[:], b)
+	return h, err
+}
+
+// decodeHash is parseHash for the test goroutine.
 func decodeHash(t *testing.T, s string) ledger.Hash {
 	t.Helper()
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(ledger.Hash{}) {
+	h, err := parseHash(s)
+	if err != nil {
 		t.Fatalf("bad hash %q: %v", s, err)
 	}
-	var h ledger.Hash
-	copy(h[:], b)
 	return h
+}
+
+// verifyOwnProof fetches /v1/proof for seq and checks it the way the client
+// that made the spend does, offline: the leaf must be the record it rebuilds
+// from its own request, and the path must fold to the proof's root.
+func verifyOwnProof(s *Server, req QueryRequest, seq uint64) error {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/proof?seq=%d", seq), nil))
+	if rec.Code != http.StatusOK {
+		return fmt.Errorf("proof for seq %d: status %d: %s", seq, rec.Code, rec.Body)
+	}
+	var pr ProofResponse
+	if err := json.NewDecoder(rec.Body).Decode(&pr); err != nil {
+		return err
+	}
+	p := ledger.Proof{Index: seq - 1, Size: pr.Size, LeafHash: ledger.LeafHash(ledger.EncodeRecord(ledger.Record{
+		Seq: seq, Key: req.Key, Dataset: req.Dataset, Mechanism: req.Mechanism, Eps: req.Epsilon,
+	}))}
+	leaf, err := parseHash(pr.Leaf)
+	if err != nil || leaf != p.LeafHash {
+		return fmt.Errorf("seq %d: proof leaf %q is not this client's spend (%v)", seq, pr.Leaf, err)
+	}
+	if p.Root, err = parseHash(pr.Root); err != nil {
+		return fmt.Errorf("seq %d: proof root: %w", seq, err)
+	}
+	for _, hs := range pr.Path {
+		h, err := parseHash(hs)
+		if err != nil {
+			return fmt.Errorf("seq %d: proof path: %w", seq, err)
+		}
+		p.Path = append(p.Path, h)
+	}
+	if pr.Seq != seq || !ledger.VerifyInclusion(p) {
+		return fmt.Errorf("seq %d: inclusion proof (seq %d, size %d) does not verify offline", seq, pr.Seq, pr.Size)
+	}
+	return nil
 }
 
 // TestServeProofVerifiesOffline is the tamper-evidence acceptance test: using
@@ -231,7 +276,9 @@ func TestServeProofVerifiesOffline(t *testing.T) {
 
 // TestServeDurableConcurrentSharedKey races 8 clients through the WAL-backed
 // group-commit path on one shared key and asserts exact accounting — then
-// restarts and asserts the durable history reproduces it exactly.
+// restarts and asserts the durable history reproduces it exactly. Each client
+// proves every seq it is handed at once, while the others keep committing:
+// a response's seq is in the Merkle tree before the response is sent.
 func TestServeDurableConcurrentSharedKey(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "spend.wal")
 	cfg := durableConfig(walPath)
@@ -249,10 +296,11 @@ func TestServeDurableConcurrentSharedKey(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for q := 0; q < queriesPer; q++ {
-				body, err := json.Marshal(QueryRequest{
+				req := QueryRequest{
 					Key: "shared", Dataset: "ADULT", Mechanism: "IDENTITY", Epsilon: 0.1,
 					Ranges: []Range{{Lo: 0, Hi: 10}},
-				})
+				}
+				body, err := json.Marshal(req)
 				if err != nil {
 					errs <- err
 					return
@@ -269,6 +317,10 @@ func TestServeDurableConcurrentSharedKey(t *testing.T) {
 					return
 				}
 				seqs <- resp.Seq
+				if err := verifyOwnProof(s, req, resp.Seq); err != nil {
+					errs <- fmt.Errorf("client %d query %d: %w", c, q, err)
+					return
+				}
 			}
 		}(c)
 	}
@@ -286,6 +338,14 @@ func TestServeDurableConcurrentSharedKey(t *testing.T) {
 			t.Fatalf("invalid or duplicate response seq %d", seq)
 		}
 		seen[seq] = true
+	}
+	// The published root covers exactly the committed spends.
+	var root RootResponse
+	if err := json.NewDecoder(getPath(t, s, "/v1/root").Body).Decode(&root); err != nil {
+		t.Fatal(err)
+	}
+	if root.Size != uint64(len(seen)) {
+		t.Fatalf("/v1/root size %d, want %d (one record per 200)", root.Size, len(seen))
 	}
 	want := float64(total) * 0.1
 	if got := s.lookupSpent("shared"); math.Abs(got-want) > 1e-9 {

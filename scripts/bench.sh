@@ -58,11 +58,12 @@ END {
 echo "wrote $out ($(grep -c '"name"' "$out") benchmarks)"
 
 # Diff against the latest committed snapshot (the newest BENCH_*.json tracked
-# by git, read at its last committed content so a same-day rerun that
+# by git that holds a go test "benchmarks" list — perfbench A/B records do
+# not — read at its last committed content so a same-day rerun that
 # overwrites the file still diffs against the true baseline): per-benchmark
 # ns/op and allocs/op ratios, so a perf PR's wins and regressions are visible
 # at a glance.
-base="$(git ls-files 'BENCH_*.json' | sort | tail -1 || true)"
+base="$(git ls-files 'BENCH_*.json' | sort | xargs -r grep -l '"benchmarks": \[' | tail -1 || true)"
 if [ -z "$base" ] || ! git cat-file -e "HEAD:$base" 2>/dev/null; then
     echo "no committed BENCH_*.json baseline to diff against"
     exit 0
