@@ -339,38 +339,53 @@ func BenchmarkAlgoSFFast(b *testing.B)   { benchAlgorithm1DFast(b, "SF") }
 // BenchmarkPlanExecute measures ONE trial through a prepared plan (structure
 // building amortized away), next to BenchmarkAlgo* which pays Plan+Execute
 // per Run. The gap is what the experiment runner saves on every trial after
-// the first.
+// the first. The 2d/ set runs the tree mechanisms on the sweep's 128x128 grid.
 func BenchmarkPlanExecute(b *testing.B) {
-	d, err := dataset.ByName("SEARCH")
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
-	x, err := d.Generate(rng, 100_000, 4096)
-	if err != nil {
-		b.Fatal(err)
+	gen := func(name string, dims ...int) *vec.Vector {
+		d, err := dataset.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := d.Generate(rng, 100_000, dims...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return x
 	}
-	w := workload.Prefix(4096)
-	for _, name := range []string{"IDENTITY", "HB", "PRIVELET", "DAWA", "MWEM", "EFPA", "SF", "AHP", "PHP"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			a, err := algo.New(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := a.Plan(x, w, 0.1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]float64, x.N())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.Execute(noise.NewMeter(0.1, rng), out); err != nil {
+	sets := []struct {
+		prefix string
+		x      *vec.Vector
+		w      *workload.Workload
+		names  []string
+	}{
+		{"", gen("SEARCH", 4096), workload.Prefix(4096),
+			[]string{"IDENTITY", "HB", "PRIVELET", "DAWA", "MWEM", "EFPA", "SF", "AHP", "PHP"}},
+		{"2d/", gen("ADULT-2D", 128, 128), nil,
+			[]string{"HYBRIDTREE", "QUADTREE", "HB", "GREEDY-H"}},
+	}
+	for _, set := range sets {
+		for _, name := range set.names {
+			x, w := set.x, set.w
+			b.Run(set.prefix+name, func(b *testing.B) {
+				a, err := algo.New(name)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				p, err := a.Plan(x, w, 0.1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out := make([]float64, x.N())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := p.Execute(noise.NewMeter(0.1, rng), out); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -431,31 +446,31 @@ func BenchmarkAblationConsistency(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	var withSE, withoutSE float64
 	trials := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		root, err := tree.BuildInterval(n, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		root.Measure(noise.NewMeter(eps, rng), data, tree.UniformLevelBudget(eps, root.Height()))
-		est := root.Infer(n)
+	flat, err := tree.SharedInterval(n, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Without consistency: all budget on the leaves, none on the hierarchy
+	// (an identity-equivalent answer).
+	leavesOnly := make([]float64, flat.Height())
+	leavesOnly[len(leavesOnly)-1] = eps
+	rootSE := func(budget []float64) float64 {
+		sc := flat.Acquire()
+		flat.ComputeSums(data, sc)
+		flat.MeasureInto(noise.NewMeter(eps, rng), sc, budget)
+		est := make([]float64, n)
+		flat.InferInto(sc, est)
+		flat.Release(sc)
 		var total float64
 		for _, v := range est {
 			total += v
 		}
-		withSE += (total - trueTotal) * (total - trueTotal)
-
-		// Without consistency: leaves only (identity-equivalent answer).
-		flatRoot, _ := tree.BuildInterval(n, 2)
-		budget := make([]float64, flatRoot.Height())
-		budget[len(budget)-1] = eps // all budget on leaves, no hierarchy
-		flatRoot.Measure(noise.NewMeter(eps, rng), data, budget)
-		flatEst := flatRoot.Infer(n)
-		var ftotal float64
-		for _, v := range flatEst {
-			ftotal += v
-		}
-		withoutSE += (ftotal - trueTotal) * (ftotal - trueTotal)
+		return (total - trueTotal) * (total - trueTotal)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		withSE += rootSE(tree.UniformLevelBudget(eps, flat.Height()))
+		withoutSE += rootSE(leavesOnly)
 		trials++
 	}
 	if trials > 0 {

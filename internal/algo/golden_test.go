@@ -8,6 +8,7 @@ import (
 
 	"dpbench/internal/noise"
 	"dpbench/internal/transform"
+	"dpbench/internal/tree"
 	"dpbench/internal/vec"
 	"dpbench/internal/workload"
 )
@@ -227,10 +228,13 @@ func refDAWARun1D(d *DAWA, data []float64, w *workload.Workload, eps float64, rn
 		}
 	}
 	weights := bucketLevelWeights(n, k, b, bounds, w)
-	bucketEst, err := greedyHEstimate(bucketData, b, weights, noise.NewMeter(eps2, rng))
+	// Stage two: GreedyH over the buckets on the shared interval tree.
+	flat, err := tree.SharedInterval(k, b)
 	if err != nil {
 		return nil, err
 	}
+	bucketEst := make([]float64, k)
+	flatTreeEstimate(flat, bucketData, levelBudgetFromWeights(eps2, flat.Height(), weights), noise.NewMeter(eps2, rng), bucketEst)
 	out := make([]float64, n)
 	for i := 0; i < k; i++ {
 		uniformSpread(out, bounds[i], bounds[i+1], bucketEst[i])

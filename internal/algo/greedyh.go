@@ -127,22 +127,6 @@ func (g *GreedyH) CompositionPlan() noise.Plan {
 	return noise.Plan{{Label: "level*", Kind: noise.Parallel}}
 }
 
-// greedyHEstimate builds a b-ary hierarchy over data, allocates the meter's
-// whole budget across levels proportional to weights^(1/3) (uniform when
-// weights is nil or degenerate), measures every node, and runs consistency
-// inference.
-func greedyHEstimate(data []float64, b int, weights []float64, m *noise.Meter) ([]float64, error) {
-	n := len(data)
-	root, err := tree.BuildInterval(n, b)
-	if err != nil {
-		return nil, err
-	}
-	h := root.Height()
-	budget := levelBudgetFromWeights(m.Total(), h, weights)
-	root.Measure(m, data, budget)
-	return root.Infer(n), nil
-}
-
 // levelBudgetFromWeights converts per-level usage weights into a budget
 // split with eps_l proportional to w_l^(1/3); levels with zero weight still
 // receive a small floor so inference stays well conditioned.

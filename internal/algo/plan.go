@@ -171,9 +171,6 @@ func hilbertLinearizeCached(data []float64, side int) ([]float64, []int, error) 
 	return out, perm, nil
 }
 
-// flatTreeEstimator is the shared per-trial core of the hierarchical
-// mechanisms: sums, measure, infer over a cached flat tree. out must have
-// length flat.N().
 // newTreePlan builds the shared fixed-structure plan, pre-warming the flat
 // tree's scratch pool: without this the first Execute pays the tree-sized
 // scratch allocation, which reads as a cold-iteration artifact in timed
@@ -183,6 +180,9 @@ func newTreePlan(flat *tree.Flat, data []float64, budget []float64) *treePlan {
 	return &treePlan{flat: flat, data: data, budget: budget}
 }
 
+// flatTreeEstimate is the shared per-trial core of the hierarchical
+// mechanisms: sums, measure, infer over a cached flat tree. out must have
+// length f.N().
 func flatTreeEstimate(f *tree.Flat, data []float64, budget []float64, m *noise.Meter, out []float64) {
 	sc := f.Acquire()
 	f.ComputeSums(data, sc)

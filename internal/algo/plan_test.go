@@ -167,21 +167,37 @@ func TestPlanExecuteDegenerateDomains(t *testing.T) {
 	}
 }
 
-// TestSharedPlanConcurrentExecute shares one data-independent plan across 8
-// goroutines executing simultaneously (run under -race in CI): per-trial
-// state must live entirely in pooled scratch, and each goroutine's output
-// must still match a serial Run with its seed.
+// TestSharedPlanConcurrentExecute shares one plan across 8 goroutines
+// executing simultaneously (run under -race in CI): per-trial state must
+// live entirely in pooled scratch, and each goroutine's output must still
+// match a serial Run with its seed. The 2d/ cases cover the tree mechanisms'
+// 2D plans, including HybridTree's pooled per-trial arenas.
 func TestSharedPlanConcurrentExecute(t *testing.T) {
-	for _, name := range []string{"H", "HB", "PRIVELET", "GREEDY-H", "EFPA", "IDENTITY", "DAWA", "MWEM"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			a, err := New(name)
+	cases := []struct {
+		name string
+		dims []int
+	}{
+		{"H", []int{128}}, {"HB", []int{128}}, {"PRIVELET", []int{128}}, {"GREEDY-H", []int{128}},
+		{"EFPA", []int{128}}, {"IDENTITY", []int{128}}, {"DAWA", []int{128}}, {"MWEM", []int{128}},
+		{"HYBRIDTREE", []int{32, 32}}, {"QUADTREE", []int{32, 32}}, {"HB", []int{32, 32}}, {"GREEDY-H", []int{32, 32}},
+	}
+	for _, c := range cases {
+		c := c
+		sub := c.name
+		var x *vec.Vector
+		var w *workload.Workload
+		if len(c.dims) == 1 {
+			x, w = planVec1D(t, 9, c.dims[0]), workload.Prefix(c.dims[0])
+		} else {
+			sub = "2d/" + c.name
+			x = planVec2D(t, 9, c.dims[0])
+		}
+		t.Run(sub, func(t *testing.T) {
+			a, err := New(c.name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := 128
-			x := planVec1D(t, 9, n)
-			w := workload.Prefix(n)
+			n := x.N()
 			p, err := a.Plan(x, w, 0.5)
 			if err != nil {
 				t.Fatal(err)

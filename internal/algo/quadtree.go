@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"dpbench/internal/noise"
 	"dpbench/internal/tree"
@@ -111,19 +112,30 @@ func (t *HybridTree) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Mete
 	return runPlanMeter(t, x, w, m)
 }
 
-// hybridPlan carries the resolved parameters; the kd structure itself is
-// selected from fresh noise inside every Execute, as the mechanism requires.
+// hybridPlan carries the resolved parameters and a pool of per-trial
+// arenas; the kd structure itself is selected from fresh noise inside every
+// Execute, as the mechanism requires.
 type hybridPlan struct {
-	t                  *HybridTree
 	data               []float64
 	nx, ny             int
 	kd, h              int
 	perLevel, epsCount float64
+	bufs               sync.Pool // *hybridScratch
+}
+
+// hybridScratch is one trial's rebuildable state: the pre-order kd cut list,
+// the marginal buffer, and the tree arena the kd-then-quad hierarchy is laid
+// into, with its scratch.
+type hybridScratch struct {
+	cuts  []int
+	marg  []float64
+	ftree tree.Flat
+	fsc   *tree.Scratch
 }
 
 // Plan implements Algorithm. HybridTree's upper levels are data-dependent
 // (noisy-median splits), so only the parameter resolution and budget split
-// are hoisted; each trial builds and measures its own tree.
+// are hoisted; each trial rebuilds and measures its own tree.
 func (t *HybridTree) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, error) {
 	if err := validate(x, eps); err != nil {
 		return nil, err
@@ -151,22 +163,36 @@ func (t *HybridTree) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Pla
 		// the whole budget to the counts instead.
 		epsStruct, epsCount = 0, eps
 	}
-	return &hybridPlan{
-		t: t, data: x.Data, nx: x.Dims[1], ny: x.Dims[0], kd: kd, h: h,
+	p := &hybridPlan{
+		data: x.Data, nx: x.Dims[1], ny: x.Dims[0], kd: kd, h: h,
 		perLevel: epsStruct / float64(maxInt(kd, 1)), epsCount: epsCount,
-	}, nil
+	}
+	side := maxInt(p.nx, p.ny)
+	p.bufs.New = func() any {
+		return &hybridScratch{marg: make([]float64, side), fsc: tree.NewScratch()}
+	}
+	return p, nil
 }
 
 //dp:hotpath
 func (p *hybridPlan) Execute(m *noise.Meter, out []float64) error {
+	sc := p.bufs.Get().(*hybridScratch)
+	defer p.bufs.Put(sc)
+
 	// Noisy marginals drive the kd splits; each level of splits touches
 	// disjoint regions so the levels share epsStruct evenly.
-	root := p.t.buildKD(p.data, p.nx, tree.Rect{X0: 0, Y0: 0, X1: p.nx, Y1: p.ny}, p.kd, p.kd, p.h, p.perLevel, m)
-	if err := root.Finalize(); err != nil {
+	sc.cuts = sc.cuts[:0]
+	p.kdCuts(sc, tree.Rect{X1: p.nx, Y1: p.ny}, p.kd, p.h, p.perLevel, m)
+	if err := sc.ftree.RebuildKD(p.nx, p.ny, p.h, sc.cuts); err != nil {
 		return err
 	}
-	root.Measure(m, p.data, tree.GeometricLevelBudget(p.epsCount, root.Height()))
-	root.InferInto(out)
+	// The pooled tree scratch is pinned to a local for the whole
+	// compute→measure→infer sequence: the raw node sums written by
+	// ComputeSums only ever leave it through MeasureInto's metered draws.
+	fsc := sc.fsc
+	sc.ftree.ComputeSums(p.data, fsc)
+	sc.ftree.MeasureInto(m, fsc, tree.GeometricLevelBudget(p.epsCount, sc.ftree.Height()))
+	sc.ftree.InferInto(fsc, out)
 	return m.Err()
 }
 
@@ -178,10 +204,12 @@ func (t *HybridTree) CompositionPlan() noise.Plan {
 	}
 }
 
-// buildKD builds kdLeft data-dependent levels splitting the longer dimension
-// at a noisy mass median, then hands the region to a fixed quadtree of the
-// remaining height. kdTotal is the configured number of kd levels, so the
-// current kd depth is kdTotal-kdLeft. When a branch bottoms out early its
+// kdCuts chooses kdLeft data-dependent levels over r, splitting the longer
+// side (x on a tie) at a noisy mass median, and appends the cuts to
+// sc.cuts in the pre-order tree.Flat.RebuildKD reads (a column as c, a row
+// as -c): a region that stops splitting appends 0 and gets a fixed quadtree
+// of the remaining height.
+// The current kd depth is p.kd-kdLeft. When a branch bottoms out early its
 // remaining per-level allocations are charged as forfeits, keeping every kd
 // scope at exactly epsLevel even if no region at that depth draws.
 //
@@ -189,63 +217,54 @@ func (t *HybridTree) CompositionPlan() noise.Plan {
 // per-level parallel scopes rather than summing.
 //
 //dp:spends par float64(kdLeft) * epsLevel
-func (t *HybridTree) buildKD(data []float64, nx int, r tree.Rect, kdLeft, kdTotal, heightLeft int, epsLevel float64, m *noise.Meter) *tree.Node {
+func (p *hybridPlan) kdCuts(sc *hybridScratch, r tree.Rect, kdLeft, heightLeft int, epsLevel float64, m *noise.Meter) {
 	w, h := r.X1-r.X0, r.Y1-r.Y0
 	if kdLeft == 0 || heightLeft <= 1 || (w == 1 && h == 1) {
 		for i := 0; i < kdLeft; i++ {
-			m.ChargePar(idxLabel(kdLabels, kdTotal-kdLeft+i), epsLevel)
+			m.ChargePar(idxLabel(kdLabels, p.kd-kdLeft+i), epsLevel)
 		}
-		return tree.BuildQuadRegion(nx, r, heightLeft)
+		sc.cuts = append(sc.cuts, 0)
+		return
 	}
-	label := idxLabel(kdLabels, kdTotal-kdLeft)
-	nd := &tree.Node{}
-	var cut int
-	if w >= h {
-		marg := noisyMarginal(data, nx, r, true, epsLevel, label, m)
-		cut = r.X0 + marginalMedian(marg)
-		if cut <= r.X0 || cut >= r.X1 {
-			cut = (r.X0 + r.X1) / 2
-		}
-		left := tree.Rect{X0: r.X0, Y0: r.Y0, X1: cut, Y1: r.Y1}
-		right := tree.Rect{X0: cut, Y0: r.Y0, X1: r.X1, Y1: r.Y1}
-		nd.Children = []*tree.Node{
-			t.buildKD(data, nx, left, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m),
-			t.buildKD(data, nx, right, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m),
-		}
-		return nd
+	overX := w >= h
+	lo, hi := r.Y0, r.Y1
+	if overX {
+		lo, hi = r.X0, r.X1
 	}
-	marg := noisyMarginal(data, nx, r, false, epsLevel, label, m)
-	cut = r.Y0 + marginalMedian(marg)
-	if cut <= r.Y0 || cut >= r.Y1 {
-		cut = (r.Y0 + r.Y1) / 2
+	marg := p.noisyMarginal(sc, r, overX, epsLevel, idxLabel(kdLabels, p.kd-kdLeft), m)
+	cut := lo + marginalMedian(marg)
+	if cut <= lo || cut >= hi {
+		cut = (lo + hi) / 2
 	}
-	top := tree.Rect{X0: r.X0, Y0: r.Y0, X1: r.X1, Y1: cut}
-	bottom := tree.Rect{X0: r.X0, Y0: cut, X1: r.X1, Y1: r.Y1}
-	nd.Children = []*tree.Node{
-		t.buildKD(data, nx, top, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m),
-		t.buildKD(data, nx, bottom, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m),
+	a, b := r, r
+	if overX {
+		a.X1, b.X0 = cut, cut
+		sc.cuts = append(sc.cuts, cut)
+	} else {
+		a.Y1, b.Y0 = cut, cut
+		sc.cuts = append(sc.cuts, -cut)
 	}
-	return nd
+	p.kdCuts(sc, a, kdLeft-1, heightLeft-1, epsLevel, m)
+	p.kdCuts(sc, b, kdLeft-1, heightLeft-1, epsLevel, m)
 }
 
 // noisyMarginal returns the Laplace-noised marginal of the region along x
-// (overX true) or y. One marginal is a vector query of sensitivity 1 over
-// the region, and the regions sharing a kd level are disjoint, so all of a
-// level's per-bin draws form one parallel scope of eps.
-func noisyMarginal(data []float64, nx int, r tree.Rect, overX bool, eps float64, label string, m *noise.Meter) []float64 {
-	var marg []float64
+// (overX true) or y, in the trial's marginal buffer. One marginal is a
+// vector query of sensitivity 1 over the region, and the regions sharing a
+// kd level are disjoint, so all of a level's per-bin draws form one
+// parallel scope of eps.
+func (p *hybridPlan) noisyMarginal(sc *hybridScratch, r tree.Rect, overX bool, eps float64, label string, m *noise.Meter) []float64 {
+	marg := sc.marg[:r.Y1-r.Y0]
 	if overX {
-		marg = make([]float64, r.X1-r.X0)
-		for y := r.Y0; y < r.Y1; y++ {
-			for x := r.X0; x < r.X1; x++ {
-				marg[x-r.X0] += data[y*nx+x]
-			}
-		}
-	} else {
-		marg = make([]float64, r.Y1-r.Y0)
-		for y := r.Y0; y < r.Y1; y++ {
-			for x := r.X0; x < r.X1; x++ {
-				marg[y-r.Y0] += data[y*nx+x]
+		marg = sc.marg[:r.X1-r.X0]
+	}
+	clear(marg)
+	for y := r.Y0; y < r.Y1; y++ {
+		for i, v := range p.data[y*p.nx+r.X0 : y*p.nx+r.X1] {
+			if overX {
+				marg[i] += v
+			} else {
+				marg[y-r.Y0] += v
 			}
 		}
 	}

@@ -108,6 +108,87 @@ func TestFastSamplerGolden(t *testing.T) {
 	}
 }
 
+var treeGoldenPath = filepath.Join("testdata", "sampler_legacy_tree_golden.json")
+
+// treeGoldenCases pins the legacy-sampler output of every mechanism that
+// runs through internal/tree, in each dimensionality it supports. Inside a
+// row, cfg overrides the registry default (nil means New(name)); the
+// shallow HybridTree truncates its quadtrees under the kd levels.
+var treeGoldenCases = []struct {
+	key  string
+	name string
+	cfg  Algorithm
+	dims []int
+	seed int64
+}{
+	{"H/100", "H", nil, []int{100}, 13},
+	{"HB/100", "HB", nil, []int{100}, 17},
+	{"HB/24x40", "HB", nil, []int{24, 40}, 19},
+	{"GREEDY-H/100", "GREEDY-H", nil, []int{100}, 23},
+	{"GREEDY-H/32x32", "GREEDY-H", nil, []int{32, 32}, 29},
+	{"QUADTREE/24x40", "QUADTREE", nil, []int{24, 40}, 31},
+	{"HYBRIDTREE/32x32", "HYBRIDTREE", nil, []int{32, 32}, 37},
+	{"HYBRIDTREE/24x40", "HYBRIDTREE", nil, []int{24, 40}, 41},
+	{"HYBRIDTREE-kd2-h4/40x24", "HYBRIDTREE", &HybridTree{KDLevels: 2, MaxHeight: 4, StructRho: 0.2}, []int{40, 24}, 43},
+	{"DAWA/100", "DAWA", nil, []int{100}, 47},
+	{"DAWA/32x32", "DAWA", nil, []int{32, 32}, 53},
+	{"SF/100", "SF", nil, []int{100}, 59},
+}
+
+// TestLegacyTreeMechanismGolden pins the legacy-sampler output of the tree
+// mechanisms bit for bit, the way TestFastSamplerGolden pins the fast
+// stream. Regenerate with UPDATE_SAMPLER_GOLDEN=1 only after an intentional
+// change to a mechanism's output.
+func TestLegacyTreeMechanismGolden(t *testing.T) {
+	got := map[string]string{}
+	for _, c := range treeGoldenCases {
+		a := c.cfg
+		if a == nil {
+			var err error
+			if a, err = New(c.name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x := goldenVec(t, rand.New(rand.NewSource(c.seed)), c.dims...)
+		var w *workload.Workload
+		if len(c.dims) == 1 {
+			w = workload.Prefix(c.dims[0])
+		}
+		out, err := a.Run(x, w, 0.5, rand.New(rand.NewSource(c.seed*1009+17)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		got[c.key] = outputDigest(out)
+	}
+	if os.Getenv("UPDATE_SAMPLER_GOLDEN") != "" {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(treeGoldenPath, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", treeGoldenPath)
+		return
+	}
+	blob, err := os.ReadFile(treeGoldenPath)
+	if err != nil {
+		t.Fatalf("reading tree-mechanism golden: %v", err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(treeGoldenCases) {
+		t.Errorf("golden holds %d digests, table has %d rows", len(want), len(treeGoldenCases))
+	}
+	for _, c := range treeGoldenCases {
+		if got[c.key] != want[c.key] {
+			t.Errorf("%s legacy digest %s, golden %s — the mechanism's output changed", c.key, got[c.key], want[c.key])
+		}
+	}
+}
+
 // TestFastSamplerReproducible guards the pooled plan state (mwemStatePools,
 // phpScratchPools) against cross-execution leakage: two fast executions of
 // the same plan on the same seed must be bit-identical even though they reuse

@@ -66,7 +66,7 @@ func (vr *verifier) isTreeMeasure(call *ast.CallExpr) bool {
 	if objPkgPath(obj) != treePkgPath {
 		return false
 	}
-	return obj.Name() == "Measure" || obj.Name() == "MeasureInto"
+	return obj.Name() == "MeasureInto"
 }
 
 func (vr *verifier) evalCall(call *ast.CallExpr, st *state) []ev {
@@ -450,7 +450,7 @@ func (vr *verifier) intrinsicCall(call *ast.CallExpr, callee types.Object, st *s
 				}
 			}
 			return out, true
-		case "Measure", "MeasureInto":
+		case "MeasureInto":
 			return vr.treeMeasureCall(call, st), true
 		}
 	case "fmt":
@@ -473,9 +473,9 @@ func (vr *verifier) errorResult(call *ast.CallExpr, st *state) []ev {
 	return out
 }
 
-// treeMeasureCall models Flat.MeasureInto / Node.Measure: each tree level is
-// one parallel scope under its level label charged epsByLevel[d], so the
-// whole call costs sum(epsByLevel) sequentially.
+// treeMeasureCall models Flat.MeasureInto: each tree level is one parallel
+// scope under its level label charged epsByLevel[d], so the whole call costs
+// sum(epsByLevel) sequentially.
 func (vr *verifier) treeMeasureCall(call *ast.CallExpr, st *state) []ev {
 	var out []ev
 	for _, le := range vr.evalList(call.Args, st) {

@@ -3,26 +3,29 @@ package tree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dpbench/internal/noise"
 )
 
-// Flat is an immutable, flattened aggregation tree: pure structure (topology,
-// depths, spans, leaf cell lists) with no per-trial state, so one Flat built
-// once per experiment cell can be shared read-only across every sample, trial
-// and worker that needs the same hierarchy. Per-trial values (measurements
-// and the inference passes' intermediates) live in a Scratch drawn from the
-// Flat's internal pool, which is what turns the tree mechanisms' per-trial
-// cost from "rebuild the whole structure" into "draw the noise".
+// Flat is an aggregation tree stored as per-node arrays. Nodes are numbered
+// in pre-order: every node precedes its subtree, and the subtrees of its
+// children follow it one after another, in child order. A node's children
+// are listed in kids in the order its region was split (left to right, then
+// top to bottom), and a leaf lists its cells row by row. Every per-trial
+// pass walks these arrays in that fixed order, so the noise draws, the
+// ledger charges and every floating-point sum happen in the same order on
+// every build of a shape.
 //
-// Nodes are stored in pre-order, the exact order Node.Walk visits them, so
-// MeasureInto draws the identical noise stream as Node.Measure; children of a
-// node are recorded in their original order, so every floating-point
-// reduction (true-count sums, the inference passes) reproduces the recursive
-// implementation's association bit for bit.
+// A Flat holds structure only; per-trial values (measurements and the
+// inference passes' intermediates) live in a Scratch. SharedInterval,
+// SharedGrid and SharedQuad return cached read-only trees that any number of
+// concurrent trials share, each drawing its Scratch from the tree's pool.
+// RebuildInterval and RebuildKD lay a per-trial shape into a single-owner
+// arena that keeps its capacity across rebuilds.
 type Flat struct {
-	n      int // number of cells covered (leaves partition [0, n) for builders)
+	n      int // number of cells covered (leaves partition [0, n))
 	height int
 
 	depth  []int32
@@ -30,10 +33,10 @@ type Flat struct {
 	kids   []int32
 	celOff []int32 // leaf cells of node i: cells[celOff[i]:celOff[i+1]]
 	cells  []int32
-	spanLo []int32 // inclusive covered cell span, from Node.Span
+	spanLo []int32 // inclusive min and max cell index node i covers
 	spanHi []int32
 
-	pool sync.Pool // *Scratch
+	pool sync.Pool // *Scratch; shared trees only
 }
 
 // Scratch holds one trial's per-node values for a Flat: the noisy
@@ -50,96 +53,181 @@ type Scratch struct {
 	vars []float64 // per-level measurement variance (len height)
 }
 
-// Flatten converts a finalized Node tree into its immutable flat form.
-func Flatten(root *Node) *Flat {
-	f := &Flat{n: root.Size(), height: root.Height()}
-	nodes := root.CountNodes()
-	f.depth = make([]int32, nodes)
-	f.kidOff = make([]int32, nodes+1)
-	f.celOff = make([]int32, nodes+1)
-	f.spanLo = make([]int32, nodes)
-	f.spanHi = make([]int32, nodes)
-	// Pre-order index assignment: a node's children get consecutive DFS
-	// visits, and the kids list records their indices in child order.
-	idx := 0
-	var rec func(nd *Node, depth int) int32
-	rec = func(nd *Node, depth int) int32 {
-		i := int32(idx)
-		idx++
-		f.depth[i] = int32(depth)
-		f.spanLo[i], f.spanHi[i] = int32(nd.lo), int32(nd.hi)
-		f.kidOff[i] = int32(len(f.kids))
-		// Reserve the kid slots now so they stay in child order even though
-		// each child's subtree is flattened before the next child's index is
-		// known; pre-order makes child c's index computable only after c-1's
-		// subtree is done, so fill the reserved slots as we go.
-		base := len(f.kids)
-		for range nd.Children {
-			f.kids = append(f.kids, 0)
-		}
-		f.celOff[i] = int32(len(f.cells))
-		for _, c := range nd.Cells {
-			f.cells = append(f.cells, int32(c))
-		}
-		for ci, c := range nd.Children {
-			f.kids[base+ci] = rec(c, depth+1)
-		}
-		return i
-	}
-	rec(root, 0)
-	// kidOff/celOff are per-node starts; close them into prefix form.
-	f.kidOff[nodes] = int32(len(f.kids))
-	f.celOff[nodes] = int32(len(f.cells))
-	f.pool.New = func() any {
-		return &Scratch{
-			sums: make([]float64, nodes),
-			y:    make([]float64, nodes),
-			z:    make([]float64, nodes),
-			zvar: make([]float64, nodes),
-			kSum: make([]float64, nodes),
-			kVar: make([]float64, nodes),
-			vars: make([]float64, f.height),
-		}
-	}
-	return f
-}
-
 // NewScratch returns an empty standalone Scratch that grows on demand. It is
-// the companion of RebuildInterval: rebuildable trees change node counts per
-// rebuild, so their callers hold one auto-sizing scratch instead of drawing
-// from a fixed-size pool.
+// the companion of the Rebuild methods: a rebuilt tree changes its node count
+// from trial to trial, so its owner holds one auto-sizing scratch instead of
+// drawing from a fixed-size pool.
 func NewScratch() *Scratch { return &Scratch{} }
 
 // ensure grows the scratch to cover nodes and height.
 func (sc *Scratch) ensure(nodes, height int) {
-	if cap(sc.sums) < nodes {
-		sc.sums = make([]float64, nodes)
-		sc.y = make([]float64, nodes)
-		sc.z = make([]float64, nodes)
-		sc.zvar = make([]float64, nodes)
-		sc.kSum = make([]float64, nodes)
-		sc.kVar = make([]float64, nodes)
-	} else {
-		sc.sums = sc.sums[:nodes]
-		sc.y = sc.y[:nodes]
-		sc.z = sc.z[:nodes]
-		sc.zvar = sc.zvar[:nodes]
-		sc.kSum = sc.kSum[:nodes]
-		sc.kVar = sc.kVar[:nodes]
+	sc.sums = resize(sc.sums, nodes)
+	sc.y = resize(sc.y, nodes)
+	sc.z = resize(sc.z, nodes)
+	sc.zvar = resize(sc.zvar, nodes)
+	sc.kSum = resize(sc.kSum, nodes)
+	sc.kVar = resize(sc.kVar, nodes)
+	sc.vars = resize(sc.vars, height)
+}
+
+// resize returns s with length n, reallocated only when it lacks capacity.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
 	}
-	if cap(sc.vars) < height {
-		sc.vars = make([]float64, height)
-	} else {
-		sc.vars = sc.vars[:height]
+	return s[:n]
+}
+
+// --- builders ---
+//
+// Each builder is an append-only recursion over cell rectangles: it opens a
+// node, reserves the node's kid slots, and fills each slot with the child's
+// index (the node count when the child opens) just before laying out the
+// child's subtree. The recursions are methods, not closures, so a rebuild
+// into a warm arena allocates nothing.
+
+// reset empties f for a build over n cells, keeping its capacity.
+func (f *Flat) reset(n int) {
+	f.n, f.height = n, 0
+	f.depth = f.depth[:0]
+	f.kidOff = f.kidOff[:0]
+	f.kids = f.kids[:0]
+	f.celOff = f.celOff[:0]
+	f.cells = f.cells[:0]
+	f.spanLo = f.spanLo[:0]
+	f.spanHi = f.spanHi[:0]
+}
+
+// open appends a node at depth covering r on an nx-wide grid. Its kid and
+// cell lists start empty at the current ends of kids and cells.
+func (f *Flat) open(r Rect, nx, depth int) {
+	f.depth = append(f.depth, int32(depth))
+	f.spanLo = append(f.spanLo, int32(r.Y0*nx+r.X0))
+	f.spanHi = append(f.spanHi, int32((r.Y1-1)*nx+r.X1-1))
+	f.kidOff = append(f.kidOff, int32(len(f.kids)))
+	f.celOff = append(f.celOff, int32(len(f.cells)))
+	if depth >= f.height {
+		f.height = depth + 1
 	}
 }
 
-// RebuildInterval rebuilds f in place as the flat form of BuildInterval(n, b)
-// — identical pre-order layout, spans and child order — reusing its arrays,
-// so per-trial throwaway hierarchies (SF's noisy bucket widths never repeat
-// enough to cache) cost zero steady-state allocations to construct. A
-// rebuildable Flat is single-owner: do not share it across goroutines or mix
-// it with the Acquire/Release pool (use NewScratch).
+// reserve extends kids by k slots for the node opened last and returns the
+// index of the first. The slots are not zeroed: the caller fills them all.
+func (f *Flat) reserve(k int) int {
+	base := len(f.kids)
+	f.kids = slices.Grow(f.kids, k)[:base+k]
+	return base
+}
+
+// finish closes kidOff and celOff into prefix form.
+func (f *Flat) finish() {
+	f.kidOff = append(f.kidOff, int32(len(f.kids)))
+	f.celOff = append(f.celOff, int32(len(f.cells)))
+}
+
+// gridRec lays out the hierarchy over r in which every level splits each
+// side into at most b nearly equal parts (up to b*b children, row by row),
+// down to single cells. An interval tree over [0, n) is the n x 1 grid.
+func (f *Flat) gridRec(r Rect, nx, depth, b int) {
+	f.open(r, nx, depth)
+	w, h := r.X1-r.X0, r.Y1-r.Y0
+	if w == 1 && h == 1 {
+		f.cells = append(f.cells, int32(r.Y0*nx+r.X0))
+		return
+	}
+	cx, cy := min(b, w), min(b, h)
+	k := f.reserve(cx * cy)
+	for yi, y0 := 1, r.Y0; yi <= cy; yi++ {
+		y1 := splitEnd(r.Y0, h, yi, cy)
+		for xi, x0 := 1, r.X0; xi <= cx; xi++ {
+			x1 := splitEnd(r.X0, w, xi, cx)
+			f.kids[k] = int32(len(f.depth))
+			k++
+			f.gridRec(Rect{x0, y0, x1, y1}, nx, depth+1, b)
+			x0 = x1
+		}
+		y0 = y1
+	}
+}
+
+// splitEnd returns the end of part i (1-based) of [lo, lo+n) split into
+// parts nearly equal parts; the last part ends at lo+n without a division.
+func splitEnd(lo, n, i, parts int) int {
+	if i == parts {
+		return lo + n
+	}
+	return lo + n*i/parts
+}
+
+// quadRec lays out the quadtree over r: each level halves both sides (the
+// first half takes the odd cell) into its non-empty quadrants, top-left,
+// top-right, bottom-left, bottom-right. A node is a leaf at a single cell or
+// when it is the last of the remaining levels; such a truncated leaf covers
+// its whole rectangle, which is what makes a height-limited QuadTree
+// data-dependent and, on large domains, inconsistent (Theorem 5).
+func (f *Flat) quadRec(r Rect, nx, depth, remaining int) {
+	f.open(r, nx, depth)
+	w, h := r.X1-r.X0, r.Y1-r.Y0
+	if remaining <= 1 || (w == 1 && h == 1) {
+		for y := r.Y0; y < r.Y1; y++ {
+			for x := r.X0; x < r.X1; x++ {
+				f.cells = append(f.cells, int32(y*nx+x))
+			}
+		}
+		return
+	}
+	xs := [3]int{r.X0, r.X0 + (w+1)/2, r.X1}
+	ys := [3]int{r.Y0, r.Y0 + (h+1)/2, r.Y1}
+	cx, cy := min(2, w), min(2, h)
+	k := f.reserve(cx * cy)
+	for yi := 0; yi < cy; yi++ {
+		for xi := 0; xi < cx; xi++ {
+			f.kids[k] = int32(len(f.depth))
+			k++
+			f.quadRec(Rect{xs[xi], ys[yi], xs[xi+1], ys[yi+1]}, nx, depth+1, remaining-1)
+		}
+	}
+}
+
+// kdRec lays out the kd node over r described by the head of cuts (see
+// RebuildKD) and returns the cuts its subtree did not use.
+func (f *Flat) kdRec(r Rect, nx, depth, maxHeight int, cuts []int) ([]int, error) {
+	if len(cuts) == 0 {
+		return nil, fmt.Errorf("tree: kd cut list ends before region %v", r)
+	}
+	c, cuts := cuts[0], cuts[1:]
+	if c == 0 {
+		f.quadRec(r, nx, depth, maxHeight-depth)
+		return cuts, nil
+	}
+	a, b := r, r
+	at, lo, hi := c, r.X0, r.X1
+	if c > 0 {
+		a.X1, b.X0 = at, at
+	} else {
+		at, lo, hi = -c, r.Y0, r.Y1
+		a.Y1, b.Y0 = at, at
+	}
+	if at <= lo || at >= hi || maxHeight-depth <= 1 {
+		return nil, fmt.Errorf("tree: kd cut %d does not split region %v at depth %d", c, r, depth)
+	}
+	f.open(r, nx, depth)
+	k := f.reserve(2)
+	f.kids[k] = int32(len(f.depth))
+	cuts, err := f.kdRec(a, nx, depth+1, maxHeight, cuts)
+	if err != nil {
+		return nil, err
+	}
+	f.kids[k+1] = int32(len(f.depth))
+	return f.kdRec(b, nx, depth+1, maxHeight, cuts)
+}
+
+// RebuildInterval rebuilds f in place as the b-ary interval tree over
+// [0, n), the layout SharedInterval(n, b) caches, reusing f's arrays: the
+// per-trial bucket hierarchies of DAWA and SF never repeat often enough to
+// cache, and a rebuild into a warm arena allocates nothing. A rebuilt Flat
+// is single-owner: do not share it across goroutines or use its
+// Acquire/Release pool (use NewScratch).
 func (f *Flat) RebuildInterval(n, b int) error {
 	if n <= 0 {
 		return fmt.Errorf("tree: non-positive domain size %d", n)
@@ -147,66 +235,109 @@ func (f *Flat) RebuildInterval(n, b int) error {
 	if b < 2 {
 		return fmt.Errorf("tree: branching factor %d < 2", b)
 	}
-	f.n = n
-	f.height = 0
-	f.depth = f.depth[:0]
-	f.kids = f.kids[:0]
-	f.cells = f.cells[:0]
-	f.spanLo = f.spanLo[:0]
-	f.spanHi = f.spanHi[:0]
-	// kidOff/celOff are rebuilt as starts and closed into prefix form below.
-	f.kidOff = f.kidOff[:0]
-	f.celOff = f.celOff[:0]
-	f.rebuildRec(0, n, 0, b)
-	f.kidOff = append(f.kidOff, int32(len(f.kids)))
-	f.celOff = append(f.celOff, int32(len(f.cells)))
+	f.reset(n)
+	f.gridRec(Rect{X1: n, Y1: 1}, n, 0, b)
+	f.finish()
 	return nil
 }
 
-// rebuildRec is RebuildInterval's recursion (a method, not a closure, so the
-// per-call environment never escapes to the heap).
-func (f *Flat) rebuildRec(lo, hi, depth, b int) int32 {
-	i := int32(len(f.depth))
-	f.depth = append(f.depth, int32(depth))
-	f.spanLo = append(f.spanLo, int32(lo))
-	f.spanHi = append(f.spanHi, int32(hi-1))
-	f.kidOff = append(f.kidOff, int32(len(f.kids)))
-	f.celOff = append(f.celOff, int32(len(f.cells)))
-	if depth+1 > f.height {
-		f.height = depth + 1
+// RebuildKD rebuilds f in place, reusing its arrays, as HybridTree's
+// hierarchy over an nx x ny grid: kd levels on top, and under each kd leaf
+// the quadtree of the remaining height, so the tree has at most maxHeight
+// levels. cuts lists the kd nodes in pre-order. A zero entry is a kd leaf.
+// An entry c > 0 splits its region at column c and -c < 0 at row c, strictly
+// inside the region; the entries of its left (or top) half follow, then
+// those of its right (or bottom) half. On error f must be rebuilt before
+// use. A rebuilt Flat is single-owner, as with RebuildInterval.
+func (f *Flat) RebuildKD(nx, ny, maxHeight int, cuts []int) error {
+	if nx <= 0 || ny <= 0 {
+		return fmt.Errorf("tree: non-positive grid %dx%d", nx, ny)
 	}
-	span := hi - lo
-	if span == 1 {
-		f.cells = append(f.cells, int32(lo))
-		return i
+	if maxHeight < 1 {
+		return fmt.Errorf("tree: non-positive height %d", maxHeight)
 	}
-	// Split into at most b nearly equal chunks, as buildInterval does.
-	chunks := b
-	if span < b {
-		chunks = span
+	f.reset(nx * ny)
+	rest, err := f.kdRec(Rect{X1: nx, Y1: ny}, nx, 0, maxHeight, cuts)
+	if err != nil {
+		return err
 	}
-	base := len(f.kids)
-	start := lo
-	for c := 0; c < chunks; c++ {
-		end := lo + (span*(c+1))/chunks
-		if end > start {
-			f.kids = append(f.kids, 0)
-			start = end
-		}
+	if len(rest) != 0 {
+		return fmt.Errorf("tree: %d kd cuts left over", len(rest))
 	}
-	// f.kids grows while children are flattened; index via base.
-	start = lo
-	ci := 0
-	for c := 0; c < chunks; c++ {
-		end := lo + (span*(c+1))/chunks
-		if end > start {
-			f.kids[base+ci] = f.rebuildRec(start, end, depth+1, b)
-			ci++
-			start = end
-		}
-	}
-	return i
+	f.finish()
+	return nil
 }
+
+// --- shared structure cache ---
+//
+// Data-independent structures depend only on their shape parameters, so one
+// global cache serves every mechanism instance, cell, and worker. Entries are
+// never evicted: the benchmark touches a bounded set of (domain, branching)
+// shapes.
+
+var flatCache sync.Map // flatKey -> *Flat
+
+type flatKey struct {
+	quad       bool
+	nx, ny, bh int // branching factor (grid) or height cap (quad)
+}
+
+// shared returns the cached tree for key, laying it out with build and
+// giving it a scratch pool on the first request.
+func shared(key flatKey, build func(*Flat)) *Flat {
+	if v, ok := flatCache.Load(key); ok {
+		return v.(*Flat)
+	}
+	f := &Flat{}
+	f.reset(key.nx * key.ny)
+	build(f)
+	f.finish()
+	nodes, height := len(f.depth), f.height
+	f.pool.New = func() any {
+		sc := NewScratch()
+		sc.ensure(nodes, height)
+		return sc
+	}
+	v, _ := flatCache.LoadOrStore(key, f)
+	return v.(*Flat)
+}
+
+// SharedInterval returns the cached b-ary interval tree over [0, n): each
+// level splits a node's range into at most b nearly equal pieces, down to
+// single cells. It is the n x 1 SharedGrid.
+func SharedInterval(n, b int) (*Flat, error) { return SharedGrid(n, 1, b) }
+
+// SharedGrid returns the cached hierarchy over an nx x ny grid in which
+// every level splits each side into at most b nearly equal parts (up to b*b
+// children), down to single cells. Hb's 2D variant uses it with its
+// variance-optimal b.
+func SharedGrid(nx, ny, b int) (*Flat, error) {
+	if nx <= 0 || ny <= 0 {
+		return nil, fmt.Errorf("tree: non-positive grid %dx%d", nx, ny)
+	}
+	if b < 2 {
+		return nil, fmt.Errorf("tree: branching factor %d < 2", b)
+	}
+	return shared(flatKey{nx: nx, ny: ny, bh: b}, func(f *Flat) {
+		f.gridRec(Rect{X1: nx, Y1: ny}, nx, 0, b)
+	}), nil
+}
+
+// SharedQuad returns the cached quadtree over an nx x ny grid with at most
+// maxHeight levels.
+func SharedQuad(nx, ny, maxHeight int) (*Flat, error) {
+	if nx <= 0 || ny <= 0 {
+		return nil, fmt.Errorf("tree: non-positive grid %dx%d", nx, ny)
+	}
+	if maxHeight < 1 {
+		return nil, fmt.Errorf("tree: non-positive height %d", maxHeight)
+	}
+	return shared(flatKey{quad: true, nx: nx, ny: ny, bh: maxHeight}, func(f *Flat) {
+		f.quadRec(Rect{X1: nx, Y1: ny}, nx, 0, maxHeight)
+	}), nil
+}
+
+// --- per-trial passes ---
 
 // N returns the number of cells the tree covers.
 func (f *Flat) N() int { return f.n }
@@ -217,7 +348,7 @@ func (f *Flat) Height() int { return f.height }
 // NumNodes returns the node count.
 func (f *Flat) NumNodes() int { return len(f.depth) }
 
-// Acquire returns a Scratch for one trial over this tree.
+// Acquire returns a Scratch for one trial over this shared tree.
 func (f *Flat) Acquire() *Scratch { return f.pool.Get().(*Scratch) }
 
 // Release returns a Scratch to the pool.
@@ -225,11 +356,9 @@ func (f *Flat) Release(sc *Scratch) { f.pool.Put(sc) }
 
 func (f *Flat) isLeaf(i int) bool { return f.kidOff[i] == f.kidOff[i+1] }
 
-// ComputeSums fills sc's per-node totals of data bottom-up. Leaf sums add
-// cells in list order and internal sums add children in child order — the
-// same association as Node.TrueCount's recursion, so the values are bitwise
-// identical while the total work drops from O(nodes * depth) pointer chasing
-// to one linear pass.
+// ComputeSums fills sc's exact per-node totals of data in one bottom-up
+// pass. A leaf adds its cells in list order and an internal node adds its
+// children's sums in child order, which fixes the association of every sum.
 func (f *Flat) ComputeSums(data []float64, sc *Scratch) {
 	sc.ensure(len(f.depth), f.height)
 	for i := len(f.depth) - 1; i >= 0; i-- {
@@ -248,9 +377,11 @@ func (f *Flat) ComputeSums(data []float64, sc *Scratch) {
 }
 
 // MeasureInto draws one Laplace measurement per node at the per-level budget
-// epsByLevel, in pre-order — the exact draw order (and ledger charges) of
-// Node.Measure — writing noisy totals into the scratch. ComputeSums must run
-// first. A zero (or missing) level budget leaves the level unmeasured.
+// epsByLevel, in pre-order, writing noisy totals into the scratch.
+// ComputeSums must run first. A zero (or missing) level budget leaves the
+// level unmeasured. Each record contributes to one node per level and the
+// nodes of a level partition the domain, so each level is one parallel
+// scope under LevelLabel(depth) and the whole tree costs sum(epsByLevel).
 func (f *Flat) MeasureInto(m *noise.Meter, sc *Scratch, epsByLevel []float64) {
 	sc.ensure(len(f.depth), f.height)
 	for d := 0; d < f.height; d++ {
@@ -274,8 +405,12 @@ func (f *Flat) MeasureInto(m *noise.Meter, sc *Scratch, epsByLevel []float64) {
 
 // InferInto runs the two-pass weighted least-squares consistency inference
 // over the scratch's measurements and writes per-cell estimates into out
-// (which is zeroed first). The passes visit children in child order, so every
-// sum and correction reproduces Node.Infer's floating-point result exactly.
+// (which is zeroed first). The upward pass combines each node's measurement
+// with the sum of its children's estimates by inverse variance; the downward
+// pass hands each node's residual to its children in proportion to their
+// variances, and a leaf spreads its estimate uniformly over its cells (the
+// uniformity assumption of Section 3.1). Both passes visit children in child
+// order.
 func (f *Flat) InferInto(sc *Scratch, out []float64) {
 	nodes := len(f.depth)
 	// Upward pass in reverse pre-order: every node's children are processed
@@ -284,6 +419,9 @@ func (f *Flat) InferInto(sc *Scratch, out []float64) {
 		yvar := sc.vars[f.depth[i]]
 		if f.isLeaf(i) {
 			if math.IsInf(yvar, 1) {
+				// An unmeasured leaf carries no information; estimate 0
+				// with huge (but finite) variance so corrections can flow
+				// to it.
 				sc.z[i], sc.zvar[i] = 0, unmeasuredVar
 			} else {
 				sc.z[i], sc.zvar[i] = sc.y[i], yvar
@@ -318,7 +456,7 @@ func (f *Flat) InferInto(sc *Scratch, out []float64) {
 	}
 	// Downward pass in pre-order: z[i] is promoted in place from combined
 	// estimate to final target (parents are fully resolved before children
-	// are visited, exactly as the recursion resolves them).
+	// are visited).
 	for i := range out {
 		out[i] = 0
 	}
@@ -346,9 +484,8 @@ func (f *Flat) InferInto(sc *Scratch, out []float64) {
 
 // AddCanonicalCount adds, per tree level, the number of maximal nodes fully
 // contained in the inclusive cell range [lo, hi] — the canonical range
-// decomposition GreedyH weights hierarchy levels by. Node spans are the
-// cached Node.Span values, so the walk prunes exactly as the recursive
-// countCanonical does.
+// decomposition GreedyH weights hierarchy levels by. The walk prunes every
+// node whose span misses the range.
 func (f *Flat) AddCanonicalCount(lo, hi int, weights []float64) {
 	f.addCanonical(0, int32(lo), int32(hi), weights)
 }
@@ -364,60 +501,4 @@ func (f *Flat) addCanonical(i int, lo, hi int32, weights []float64) {
 	for _, k := range f.kids[f.kidOff[i]:f.kidOff[i+1]] {
 		f.addCanonical(int(k), lo, hi, weights)
 	}
-}
-
-// --- shared structure cache ---
-//
-// Data-independent structures depend only on their shape parameters, so one
-// global cache serves every mechanism instance, cell, and worker. Entries are
-// never evicted: the benchmark touches a bounded set of (domain, branching)
-// shapes, and DAWA/SF's per-trial sub-domains are bounded by the domain size.
-
-var flatCache sync.Map // flatKey -> *Flat
-
-type flatKey struct {
-	kind       uint8 // 0 interval, 1 grid, 2 quad
-	nx, ny, bh int   // branching factor or height cap, per kind
-}
-
-// SharedInterval returns the cached flattened b-ary interval tree over [0, n).
-func SharedInterval(n, b int) (*Flat, error) {
-	key := flatKey{kind: 0, nx: n, bh: b}
-	if v, ok := flatCache.Load(key); ok {
-		return v.(*Flat), nil
-	}
-	root, err := BuildInterval(n, b)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := flatCache.LoadOrStore(key, Flatten(root))
-	return v.(*Flat), nil
-}
-
-// SharedGrid returns the cached flattened b-ary grid hierarchy over nx x ny.
-func SharedGrid(nx, ny, b int) (*Flat, error) {
-	key := flatKey{kind: 1, nx: nx, ny: ny, bh: b}
-	if v, ok := flatCache.Load(key); ok {
-		return v.(*Flat), nil
-	}
-	root, err := BuildGrid(nx, ny, b)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := flatCache.LoadOrStore(key, Flatten(root))
-	return v.(*Flat), nil
-}
-
-// SharedQuad returns the cached flattened height-capped quadtree over nx x ny.
-func SharedQuad(nx, ny, maxHeight int) (*Flat, error) {
-	key := flatKey{kind: 2, nx: nx, ny: ny, bh: maxHeight}
-	if v, ok := flatCache.Load(key); ok {
-		return v.(*Flat), nil
-	}
-	root, err := BuildQuad(nx, ny, maxHeight)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := flatCache.LoadOrStore(key, Flatten(root))
-	return v.(*Flat), nil
 }

@@ -9,159 +9,226 @@ import (
 	"dpbench/internal/noise"
 )
 
+// leafCells returns the cells each leaf of f covers, in node order.
+func leafCells(f *Flat) [][]int32 {
+	var out [][]int32
+	for i := 0; i < f.NumNodes(); i++ {
+		if f.isLeaf(i) {
+			out = append(out, f.cells[f.celOff[i]:f.celOff[i+1]])
+		}
+	}
+	return out
+}
+
+// assertPartition checks that the leaves of f cover each of its n cells
+// exactly once.
+func assertPartition(t *testing.T, f *Flat) {
+	t.Helper()
+	seen := make([]bool, f.N())
+	for _, cells := range leafCells(f) {
+		for _, c := range cells {
+			if seen[c] {
+				t.Fatalf("cell %d covered twice", c)
+			}
+			seen[c] = true
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("cell %d not covered", i)
+		}
+	}
+}
+
+// measure runs ComputeSums and MeasureInto for one trial on a fresh scratch.
+func measure(f *Flat, rng *rand.Rand, data, budget []float64) *Scratch {
+	sc := NewScratch()
+	f.ComputeSums(data, sc)
+	f.MeasureInto(noise.NewMeter(1, rng), sc, budget)
+	return sc
+}
+
+// infer returns the cell estimates of a measured scratch.
+func infer(f *Flat, sc *Scratch) []float64 {
+	out := make([]float64, f.N())
+	f.InferInto(sc, out)
+	return out
+}
+
 func TestBuildIntervalStructure(t *testing.T) {
-	root, err := BuildInterval(8, 2)
+	shared, err := SharedInterval(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Size() != 8 {
-		t.Fatalf("root size = %d, want 8", root.Size())
+	var rebuilt Flat
+	if err := rebuilt.RebuildInterval(8, 2); err != nil {
+		t.Fatal(err)
 	}
-	if h := root.Height(); h != 4 {
-		t.Fatalf("height = %d, want 4", h)
-	}
-	if n := root.CountNodes(); n != 15 {
-		t.Fatalf("nodes = %d, want 15", n)
+	for _, f := range []*Flat{shared, &rebuilt} {
+		if f.N() != 8 {
+			t.Fatalf("N = %d, want 8", f.N())
+		}
+		if h := f.Height(); h != 4 {
+			t.Fatalf("height = %d, want 4", h)
+		}
+		if n := f.NumNodes(); n != 15 {
+			t.Fatalf("nodes = %d, want 15", n)
+		}
 	}
 }
 
 func TestBuildIntervalNonPow2(t *testing.T) {
-	root, err := BuildInterval(10, 3)
+	f, err := SharedInterval(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Size() != 10 {
-		t.Fatalf("size = %d, want 10", root.Size())
+	if f.N() != 10 {
+		t.Fatalf("N = %d, want 10", f.N())
 	}
 	// Leaves must partition [0,10) exactly.
-	seen := make([]bool, 10)
-	root.Walk(func(nd *Node, _ int) {
-		if nd.IsLeaf() {
-			for _, c := range nd.Cells {
-				if seen[c] {
-					t.Fatalf("cell %d covered twice", c)
-				}
-				seen[c] = true
-			}
-		}
-	})
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("cell %d not covered", i)
-		}
-	}
+	assertPartition(t, f)
 }
 
 func TestBuildIntervalErrors(t *testing.T) {
-	if _, err := BuildInterval(0, 2); err == nil {
+	if _, err := SharedInterval(0, 2); err == nil {
 		t.Fatal("expected error for n=0")
 	}
-	if _, err := BuildInterval(4, 1); err == nil {
+	if _, err := SharedInterval(4, 1); err == nil {
 		t.Fatal("expected error for b=1")
+	}
+	var f Flat
+	if err := f.RebuildInterval(0, 2); err == nil {
+		t.Fatal("expected rebuild error for n=0")
+	}
+	if err := f.RebuildInterval(4, 1); err == nil {
+		t.Fatal("expected rebuild error for b=1")
 	}
 }
 
 func TestBuildQuadCoversGrid(t *testing.T) {
-	root, err := BuildQuad(8, 8, 10)
+	f, err := SharedQuad(8, 8, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Size() != 64 {
-		t.Fatalf("size = %d, want 64", root.Size())
+	if f.N() != 64 {
+		t.Fatalf("N = %d, want 64", f.N())
 	}
-	seen := make([]bool, 64)
-	root.Walk(func(nd *Node, _ int) {
-		if nd.IsLeaf() {
-			for _, c := range nd.Cells {
-				if seen[c] {
-					t.Fatalf("cell %d covered twice", c)
-				}
-				seen[c] = true
-			}
-		}
-	})
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("cell %d not covered", i)
-		}
-	}
+	assertPartition(t, f)
 }
 
 func TestBuildQuadHeightCap(t *testing.T) {
-	root, err := BuildQuad(16, 16, 3)
+	f, err := SharedQuad(16, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := root.Height(); h > 3 {
+	if h := f.Height(); h > 3 {
 		t.Fatalf("height = %d, want <= 3", h)
 	}
 	// Truncated leaves cover 4x4 blocks.
-	root.Walk(func(nd *Node, _ int) {
-		if nd.IsLeaf() && len(nd.Cells) != 16 {
-			t.Fatalf("leaf covers %d cells, want 16", len(nd.Cells))
+	for _, cells := range leafCells(f) {
+		if len(cells) != 16 {
+			t.Fatalf("leaf covers %d cells, want 16", len(cells))
 		}
-	})
+	}
 }
 
 func TestBuildQuadErrors(t *testing.T) {
-	if _, err := BuildQuad(0, 4, 3); err == nil {
+	if _, err := SharedQuad(0, 4, 3); err == nil {
 		t.Fatal("expected error for nx=0")
 	}
-	if _, err := BuildQuad(4, 4, 0); err == nil {
+	if _, err := SharedQuad(4, 4, 0); err == nil {
 		t.Fatal("expected error for height=0")
+	}
+	if _, err := SharedGrid(4, 0, 2); err == nil {
+		t.Fatal("expected grid error for ny=0")
+	}
+	if _, err := SharedGrid(4, 4, 1); err == nil {
+		t.Fatal("expected grid error for b=1")
 	}
 }
 
 func TestBuildGridBranching(t *testing.T) {
-	root, err := BuildGrid(9, 9, 3)
+	f, err := SharedGrid(9, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Size() != 81 {
-		t.Fatalf("size = %d, want 81", root.Size())
+	if f.N() != 81 {
+		t.Fatalf("N = %d, want 81", f.N())
 	}
-	if got := len(root.Children); got != 9 {
+	if got := f.kidOff[1] - f.kidOff[0]; got != 9 {
 		t.Fatalf("root children = %d, want 9", got)
 	}
+	assertPartition(t, f)
+}
+
+// TestRebuildKDQuadRegions lays two 4x4 quadtree regions side by side under
+// one kd cut, and checks the regions' sizes and their height-capped leaves.
+func TestRebuildKDQuadRegions(t *testing.T) {
+	var f Flat
+	if err := f.RebuildKD(8, 4, 3, []int{4, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if f.N() != 32 || f.Height() != 3 {
+		t.Fatalf("N %d height %d, want 32 and 3", f.N(), f.Height())
+	}
+	sc := NewScratch()
+	data := make([]float64, 32)
+	for i := range data {
+		data[i] = 1
+	}
+	f.ComputeSums(data, sc)
+	kids := f.kids[f.kidOff[0]:f.kidOff[1]]
+	if len(kids) != 2 || sc.sums[kids[0]] != 16 || sc.sums[kids[1]] != 16 {
+		t.Fatalf("root children %v with sums %v, want two 16-cell regions", kids, sc.sums)
+	}
+	// Height 2 under each region: the quadrants are 2x2 leaves.
+	for _, cells := range leafCells(&f) {
+		if len(cells) != 4 {
+			t.Fatalf("leaf covers %d cells, want 4", len(cells))
+		}
+	}
+	assertPartition(t, &f)
 }
 
 func TestTrueCount(t *testing.T) {
-	root, _ := BuildInterval(4, 2)
-	data := []float64{1, 2, 3, 4}
-	if got := root.TrueCount(data); got != 10 {
-		t.Fatalf("TrueCount = %v, want 10", got)
+	f, _ := SharedInterval(4, 2)
+	sc := f.Acquire()
+	defer f.Release(sc)
+	f.ComputeSums([]float64{1, 2, 3, 4}, sc)
+	if got := sc.sums[0]; got != 10 {
+		t.Fatalf("root sum = %v, want 10", got)
+	}
+	if got := sc.sums[f.kids[f.kidOff[0]]]; got != 3 {
+		t.Fatalf("left child sum = %v, want 3", got)
 	}
 }
 
 func TestMeasureSetsVariances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	root, _ := BuildInterval(8, 2)
-	data := make([]float64, 8)
+	f, _ := SharedInterval(8, 2)
 	eps := tree8Budget(1.0)
-	root.Measure(noise.NewMeter(1, rng), data, eps)
-	root.Walk(func(nd *Node, depth int) {
-		want := 2 / (eps[depth] * eps[depth])
-		if math.Abs(nd.Var-want) > 1e-12 {
-			t.Fatalf("depth %d var = %v, want %v", depth, nd.Var, want)
+	sc := measure(f, rng, make([]float64, 8), eps)
+	for d := range eps {
+		want := 2 / (eps[d] * eps[d])
+		if math.Abs(sc.vars[d]-want) > 1e-12 {
+			t.Fatalf("depth %d var = %v, want %v", d, sc.vars[d], want)
 		}
-	})
+	}
 }
 
 func tree8Budget(eps float64) []float64 { return UniformLevelBudget(eps, 4) }
 
 func TestMeasureUnmeasuredLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	root, _ := BuildInterval(4, 2)
+	f, _ := SharedInterval(4, 2)
 	data := []float64{5, 5, 5, 5}
 	// Only leaves measured.
-	budget := []float64{0, 0, 1}
-	root.Measure(noise.NewMeter(1, rng), data, budget)
-	if !math.IsInf(root.Var, 1) {
-		t.Fatalf("unmeasured root should have infinite variance, got %v", root.Var)
+	sc := measure(f, rng, data, []float64{0, 0, 1})
+	if !math.IsInf(sc.vars[0], 1) || sc.y[0] != 0 {
+		t.Fatalf("unmeasured root should have infinite variance and no measurement, got var %v y %v", sc.vars[0], sc.y[0])
 	}
-	est := root.Infer(4)
 	var total float64
-	for _, v := range est {
+	for _, v := range infer(f, sc) {
 		total += v
 	}
 	if math.Abs(total-20) > 20 {
@@ -172,13 +239,12 @@ func TestMeasureUnmeasuredLevels(t *testing.T) {
 func TestInferExactWhenNoiseFree(t *testing.T) {
 	// With essentially infinite budget, inference must reproduce the data.
 	rng := rand.New(rand.NewSource(3))
-	root, _ := BuildInterval(16, 2)
+	f, _ := SharedInterval(16, 2)
 	data := make([]float64, 16)
 	for i := range data {
 		data[i] = float64(i * i)
 	}
-	root.Measure(noise.NewMeter(1, rng), data, UniformLevelBudget(1e9, root.Height()))
-	est := root.Infer(16)
+	est := infer(f, measure(f, rng, data, UniformLevelBudget(1e9, f.Height())))
 	for i := range data {
 		if math.Abs(est[i]-data[i]) > 1e-3 {
 			t.Fatalf("cell %d: est %v, want %v", i, est[i], data[i])
@@ -187,29 +253,31 @@ func TestInferExactWhenNoiseFree(t *testing.T) {
 }
 
 func TestInferConsistency(t *testing.T) {
-	// After inference, each parent estimate equals the sum of its children
-	// at the cell level: total of cells equals root-consistent estimate.
+	// After inference every node's final estimate equals the sum of its
+	// children's, and the cell estimates are finite.
 	rng := rand.New(rand.NewSource(4))
-	root, _ := BuildInterval(32, 2)
+	f, _ := SharedInterval(32, 2)
 	data := make([]float64, 32)
 	for i := range data {
 		data[i] = float64(i % 7)
 	}
-	root.Measure(noise.NewMeter(1, rng), data, UniformLevelBudget(0.5, root.Height()))
-	est := root.Infer(32)
-	// Walk each node: its leaf-spread estimate must be internally consistent,
-	// i.e. cell sums within each node's span should match the hierarchical
-	// estimate the downward pass assigned. We verify the weaker, exact
-	// property that the whole estimate is finite and deterministic given rng.
-	var total float64
-	for _, v := range est {
+	sc := measure(f, rng, data, UniformLevelBudget(0.5, f.Height()))
+	for _, v := range infer(f, sc) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("non-finite estimate")
 		}
-		total += v
 	}
-	if math.IsNaN(total) {
-		t.Fatal("NaN total")
+	for i := 0; i < f.NumNodes(); i++ {
+		if f.isLeaf(i) {
+			continue
+		}
+		var kids float64
+		for _, k := range f.kids[f.kidOff[i]:f.kidOff[i+1]] {
+			kids += sc.z[k]
+		}
+		if math.Abs(kids-sc.z[i]) > 1e-9*math.Max(1, math.Abs(sc.z[i])) {
+			t.Fatalf("node %d estimate %v, children sum to %v", i, sc.z[i], kids)
+		}
 	}
 }
 
@@ -229,12 +297,10 @@ func TestInferVarianceReduction(t *testing.T) {
 	trueTotal := float64(n * 10)
 	var hierSE, flatSE float64
 	rng := rand.New(rand.NewSource(5))
+	f, _ := SharedInterval(n, 2)
 	for trial := 0; trial < trials; trial++ {
-		root, _ := BuildInterval(n, 2)
-		root.Measure(noise.NewMeter(1, rng), data, UniformLevelBudget(eps, root.Height()))
-		est := root.Infer(n)
 		var ht float64
-		for _, v := range est {
+		for _, v := range infer(f, measure(f, rng, data, UniformLevelBudget(eps, f.Height()))) {
 			ht += v
 		}
 		hierSE += (ht - trueTotal) * (ht - trueTotal)
@@ -283,38 +349,25 @@ func TestGeometricLevelBudgetSumsAndGrows(t *testing.T) {
 	}
 }
 
-func TestBuildQuadRegionAndFinalize(t *testing.T) {
-	nd := BuildQuadRegion(8, Rect{X0: 0, Y0: 0, X1: 4, Y1: 4}, 2)
-	if err := nd.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if nd.Size() != 16 {
-		t.Fatalf("region size = %d, want 16", nd.Size())
-	}
-}
-
 func TestIntervalLeafCoverageProperty(t *testing.T) {
-	f := func(seed int64) bool {
+	var f Flat
+	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(200)
 		b := 2 + rng.Intn(6)
-		root, err := BuildInterval(n, b)
-		if err != nil {
+		if err := f.RebuildInterval(n, b); err != nil {
 			return false
 		}
 		covered := 0
-		ok := true
-		root.Walk(func(nd *Node, _ int) {
-			if nd.IsLeaf() {
-				covered += len(nd.Cells)
-				if len(nd.Cells) != 1 {
-					ok = false // interval trees recurse to single cells
-				}
+		for _, cells := range leafCells(&f) {
+			if len(cells) != 1 {
+				return false // interval trees recurse to single cells
 			}
-		})
-		return ok && covered == n && root.Size() == n
+			covered++
+		}
+		return covered == n && f.N() == n
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
@@ -322,19 +375,18 @@ func TestIntervalLeafCoverageProperty(t *testing.T) {
 func TestInferPreservesTotalProperty(t *testing.T) {
 	// The inferred cell totals must equal the root's combined estimate,
 	// which with a high-budget root measurement is close to the true total.
-	f := func(seed int64) bool {
+	var f Flat
+	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(100)
-		root, err := BuildInterval(n, 2)
-		if err != nil {
+		if err := f.RebuildInterval(n, 2); err != nil {
 			return false
 		}
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = float64(rng.Intn(50))
 		}
-		root.Measure(noise.NewMeter(1, rng), data, UniformLevelBudget(100, root.Height()))
-		est := root.Infer(n)
+		est := infer(&f, measure(&f, rng, data, UniformLevelBudget(100, f.Height())))
 		var total, want float64
 		for i := range data {
 			total += est[i]
@@ -343,7 +395,7 @@ func TestInferPreservesTotalProperty(t *testing.T) {
 		// Generous tolerance: high budget keeps noise tiny.
 		return math.Abs(total-want) < 5
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
