@@ -1,4 +1,4 @@
-// Command dpbench-lint runs the dpbench static-analysis suite: the eight
+// Command dpbench-lint runs the dpbench static-analysis suite: the six
 // analyzers under internal/analysis that enforce the privacy-budget and
 // determinism invariants at compile time (see internal/analysis/doc.go).
 //
@@ -25,7 +25,6 @@ import (
 
 	"dpbench/internal/analysis"
 	"dpbench/internal/analysis/allocfree"
-	"dpbench/internal/analysis/budgetlabel"
 	"dpbench/internal/analysis/determinism"
 	"dpbench/internal/analysis/driver"
 	"dpbench/internal/analysis/epsflow"
@@ -33,13 +32,10 @@ import (
 	"dpbench/internal/analysis/load"
 	"dpbench/internal/analysis/noisegate"
 	"dpbench/internal/analysis/privtaint"
-	"dpbench/internal/analysis/subclose"
 )
 
 var analyzers = []*analysis.Analyzer{
 	noisegate.Analyzer,
-	budgetlabel.Analyzer,
-	subclose.Analyzer,
 	determinism.Analyzer,
 	internalboundary.Analyzer,
 	privtaint.Analyzer,

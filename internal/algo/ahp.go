@@ -75,13 +75,6 @@ func (a *AHP) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Ra
 	return runPlan(a, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: stage one is one vector query at rho*eps
-// (the histogram has L1 sensitivity 1), stage two measures disjoint
-// clusters in a parallel scope at the remaining (1-rho)*eps.
-func (a *AHP) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(a, x, w, m)
-}
-
 // ahpPlan resolves the (possibly trained) parameters once; the clustering
 // itself runs on fresh noise every trial, through pooled scratch.
 type ahpPlan struct {
@@ -173,7 +166,9 @@ func (p *ahpPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: stage one is one vector query at
+// rho*eps (the histogram has L1 sensitivity 1), stage two measures disjoint
+// clusters in a parallel scope at the remaining (1-rho)*eps.
 func (a *AHP) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "counts", Kind: noise.Sequential},

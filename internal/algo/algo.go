@@ -37,21 +37,11 @@ type Algorithm interface {
 	Plan(x *vec.Vector, w *workload.Workload, eps float64) (Plan, error)
 }
 
-// Metered is implemented by every mechanism in this package. RunMeter is Run
-// with a caller-supplied noise meter: Run constructs an unmetered noise.Meter
-// from its (eps, rng) arguments and delegates here, while the audit path
-// supplies a ledger-backed meter and verifies the mechanism's budget
-// arithmetic after the trial. The meter only wraps the noise stream — for a
-// fixed rng the output is bit-identical whichever entry point is used.
-type Metered interface {
-	// RunMeter releases an estimate of x, drawing all noise through m and
-	// spending exactly m.Total().
-	RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error)
-}
-
 // Planner is implemented by mechanisms that declare their budget-composition
-// plan: the complete set of ledger labels RunMeter may emit and how each
-// composes. The audit rejects any spend outside the plan.
+// plan: the complete set of ledger labels their plans' Execute may charge on
+// the trial's meter, and how each composes. The audit rejects any spend
+// outside the plan, and epsflow checks every charge against a plan written
+// as a literal.
 type Planner interface {
 	CompositionPlan() noise.Plan
 }

@@ -48,26 +48,29 @@ func auditVec2D(t *testing.T, seed int64, side int) *vec.Vector {
 	return x
 }
 
-// runLedgerAudit runs the mechanism through RunAudited and independently
-// cross-checks the ledger: spends must sum to eps within 1e-9.
+// runLedgerAudit plans the mechanism, executes one trial on an audited
+// meter, and checks the ledger with Meter.Audit against the declared plan,
+// then independently: spends must sum to eps within 1e-9, and at least one
+// must be recorded.
 func runLedgerAudit(t *testing.T, a Algorithm, x *vec.Vector, w *workload.Workload, eps float64, seed int64) {
 	t.Helper()
-	ma, ok := a.(Metered)
+	pl, ok := a.(Planner)
 	if !ok {
-		t.Fatalf("%s does not implement Metered", a.Name())
-	}
-	if _, ok := a.(Planner); !ok {
 		t.Fatalf("%s does not declare a composition plan", a.Name())
+	}
+	p, err := a.Plan(x, w, eps)
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name(), err)
 	}
 	m, err := noise.NewAuditedMeter(eps, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Release()
-	if _, err := ma.RunMeter(x, w, m); err != nil {
+	if err := p.Execute(m, make([]float64, x.N())); err != nil {
 		t.Fatalf("%s: %v", a.Name(), err)
 	}
-	if err := m.Audit(a.(Planner).CompositionPlan()); err != nil {
+	if err := m.Audit(pl.CompositionPlan()); err != nil {
 		t.Fatalf("%s: %v", a.Name(), err)
 	}
 	if diff := math.Abs(m.Spent() - eps); diff > 1e-9 {

@@ -53,18 +53,13 @@ func (d *DAWA) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.R
 	return runPlan(d, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: stage one charges per-dyadic-level parallel
-// scopes summing to rho*eps, and stage two runs inside a sequential
-// sub-meter holding the remaining (1-rho)*eps.
-func (d *DAWA) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(d, x, w, m)
-}
-
-// CompositionPlan implements Planner. "part-forfeit" covers stage-one budget
-// slices that buy no measurement (single-cell domains, and the phantom
-// dyadic level the noise calibration assumes on non-power-of-two domains);
-// charging them keeps the ledger equal to eps without touching the noise
-// stream.
+// CompositionPlan implements Planner: stage one charges per-dyadic-level
+// parallel scopes summing to rho*eps, and stage two runs inside a sequential
+// sub-meter holding the remaining (1-rho)*eps. "part-forfeit" covers
+// stage-one budget slices that buy no measurement (single-cell domains, and
+// the phantom dyadic level the noise calibration assumes on non-power-of-two
+// domains); charging them keeps the ledger equal to eps without touching the
+// noise stream.
 func (d *DAWA) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "part-level*", Kind: noise.Parallel},

@@ -40,13 +40,6 @@ func (d *DPCube) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand
 	return runPlan(d, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: the initial per-cell histogram is one vector
-// query at rho*eps; the kd-tree is post-processing; the fresh partition
-// counts are disjoint and compose in parallel to the remaining (1-rho)*eps.
-func (d *DPCube) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(d, x, w, m)
-}
-
 // dpcubePlan resolves the parameters once; the kd-tree is re-derived from
 // each trial's fresh noisy histogram (that is the mechanism), with the
 // histogram and partition buffers recycled across trials.
@@ -142,7 +135,10 @@ func (p *dpcubePlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: the initial per-cell histogram is one
+// vector query at rho*eps; the kd-tree is post-processing; the fresh
+// partition counts are disjoint and compose in parallel to the remaining
+// (1-rho)*eps.
 func (d *DPCube) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "counts", Kind: noise.Sequential},

@@ -44,13 +44,6 @@ func (e EFPA) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Ra
 	return runPlan(e, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: half the budget selects k via the exponential
-// mechanism, half perturbs the retained coefficients (one vector query of L1
-// sensitivity 2k/sqrt(n), charged as a single scope).
-func (e EFPA) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(e, x, w, m)
-}
-
 // efpaPlan caches the deterministic per-cell work — the orthonormal spectrum
 // of the data and the full score table of the k-selection — so a trial is
 // one exponential-mechanism draw plus 2k Laplace draws and an inverse FFT.
@@ -132,7 +125,9 @@ func (p *efpaPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: half the budget selects k via the
+// exponential mechanism, half perturbs the retained coefficients (one vector
+// query of L1 sensitivity 2k/sqrt(n), charged as a single scope).
 func (EFPA) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "k", Kind: noise.Sequential},

@@ -45,12 +45,6 @@ func (g *GreedyH) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *ran
 	return runPlan(g, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: per-level parallel scopes whose weighted
-// budgets sum to eps.
-func (g *GreedyH) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(g, x, w, m)
-}
-
 // greedyHPlan holds the cached hierarchy, the workload-tuned budget, and (in
 // 2D) the Hilbert linearization of the data — everything but the noise.
 type greedyHPlan struct {
@@ -122,7 +116,8 @@ func (p *greedyHPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: per-level parallel scopes whose
+// weighted budgets sum to eps.
 func (g *GreedyH) CompositionPlan() noise.Plan {
 	return noise.Plan{{Label: "level*", Kind: noise.Parallel}}
 }

@@ -43,13 +43,6 @@ func (u *UGrid) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.
 	return runPlan(u, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: the optional scale estimate composes
-// sequentially with one parallel scope over the disjoint grid cells at the
-// remaining budget.
-func (u *UGrid) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(u, x, w, m)
-}
-
 // ugridPlan: with the scale public (no Rside), the grid layout and every
 // cell's exact total are trial-independent, so a trial is one noise draw and
 // a uniform spread per grid cell. Under Rside the grid size depends on a
@@ -162,7 +155,9 @@ func spreadNoisyGrid(m *noise.Meter, label string, totals []float64, xb, yb []in
 	}
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: the optional scale estimate composes
+// sequentially with one parallel scope over the disjoint grid cells at the
+// remaining budget.
 func (u *UGrid) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "scale", Kind: noise.Sequential},
@@ -202,14 +197,6 @@ func (a *AGrid) SetScaleEstimator(rho float64) { a.ScaleRho = rho }
 // Run implements Algorithm.
 func (a *AGrid) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Rand) ([]float64, error) {
 	return runPlan(a, x, w, eps, rng)
-}
-
-// RunMeter implements Metered: the optional scale estimate composes
-// sequentially; the coarse cells are disjoint (one "level1" scope at
-// rho*epsLeft) and all second-level sub-cells across all coarse cells are
-// likewise disjoint (one "level2" scope at the rest).
-func (a *AGrid) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(a, x, w, m)
 }
 
 // agridPlan caches the coarse layout and its exact cell totals (with public
@@ -373,7 +360,10 @@ func (p *agridPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: the optional scale estimate composes
+// sequentially; the coarse cells are disjoint (one "level1" scope at
+// rho*epsLeft) and all second-level sub-cells across all coarse cells are
+// likewise disjoint (one "level2" scope at the rest).
 func (a *AGrid) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "scale", Kind: noise.Sequential},

@@ -36,13 +36,6 @@ func (h *H) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Rand
 	return runPlan(h, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: every level of the hierarchy is a parallel
-// scope (its nodes partition the domain), and the uniform per-level budgets
-// sum to eps.
-func (h *H) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(h, x, w, m)
-}
-
 // treePlan is the shared plan of every fixed-structure hierarchical
 // mechanism (H, Hb, QuadTree): a cached flat tree plus a per-level budget; a
 // trial is sums + noise draws + inference through pooled scratch.
@@ -77,7 +70,9 @@ func (h *H) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, error)
 	return newTreePlan(flat, x.Data, tree.UniformLevelBudget(eps, flat.Height())), nil
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: every level of the hierarchy is a
+// parallel scope (its nodes partition the domain), and the uniform per-level
+// budgets sum to eps.
 func (h *H) CompositionPlan() noise.Plan {
 	return noise.Plan{{Label: "level*", Kind: noise.Parallel}}
 }
@@ -102,13 +97,6 @@ func (Hb) DataDependent() bool { return false }
 // Run implements Algorithm.
 func (h Hb) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Rand) ([]float64, error) {
 	return runPlan(h, x, w, eps, rng)
-}
-
-// RunMeter implements Metered; the budget structure is H's (uniform
-// per-level parallel scopes summing to eps) at the variance-optimal
-// branching factor.
-func (h Hb) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(h, x, w, m)
 }
 
 // Plan implements Algorithm: the branching-factor search and the hierarchy
@@ -139,7 +127,9 @@ func (Hb) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, error) {
 	return newTreePlan(flat, x.Data, tree.UniformLevelBudget(eps, flat.Height())), nil
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner; the budget structure is H's (uniform
+// per-level parallel scopes summing to eps) at the variance-optimal
+// branching factor.
 func (Hb) CompositionPlan() noise.Plan {
 	return noise.Plan{{Label: "level*", Kind: noise.Parallel}}
 }

@@ -29,12 +29,6 @@ func (a Identity) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *ran
 	return runPlan(a, x, w, eps, rng)
 }
 
-// RunMeter implements Metered. The histogram is one vector-valued query with
-// L1 sensitivity 1, so the full budget is a single sequential spend.
-func (a Identity) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(a, x, w, m)
-}
-
 // identityPlan needs nothing beyond the data reference: a trial is one
 // vector-noise pass straight into the output buffer.
 type identityPlan struct {
@@ -56,7 +50,9 @@ func (p *identityPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner. The histogram is one vector-valued
+// query with L1 sensitivity 1, so the full budget is a single sequential
+// spend.
 func (Identity) CompositionPlan() noise.Plan {
 	return noise.Plan{{Label: "cells", Kind: noise.Sequential}}
 }
@@ -81,12 +77,6 @@ func (Uniform) DataDependent() bool { return true }
 // Run implements Algorithm.
 func (a Uniform) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Rand) ([]float64, error) {
 	return runPlan(a, x, w, eps, rng)
-}
-
-// RunMeter implements Metered: one scale query (sensitivity 1) at full
-// budget.
-func (a Uniform) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(a, x, w, m)
 }
 
 // uniformPlan amortizes the only data access Uniform performs — the exact
@@ -114,7 +104,8 @@ func (p *uniformPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: one scale query (sensitivity 1) at
+// full budget.
 func (Uniform) CompositionPlan() noise.Plan {
 	return noise.Plan{{Label: "total", Kind: noise.Sequential}}
 }

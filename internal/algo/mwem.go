@@ -387,13 +387,6 @@ func (m *MWEM) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.R
 	return runPlan(m, x, w, eps, rng)
 }
 
-// RunMeter implements Metered. The budget is epsScale for the optional
-// private scale estimate plus, per round, half the round budget on selection
-// and half on measurement — all sequential spends summing to eps.
-func (m *MWEM) RunMeter(x *vec.Vector, w *workload.Workload, mt *noise.Meter) ([]float64, error) {
-	return runPlanMeter(m, x, w, mt)
-}
-
 // mwemPlan hoists the true workload answers (the only data summary every
 // round reads) and recycles the whole multiplicative-weights state across
 // trials; the rounds themselves are per-trial noise, as the mechanism
@@ -531,7 +524,9 @@ func (p *mwemPlan) Execute(mt *noise.Meter, out []float64) error {
 	return mt.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner. The budget is epsScale for the
+// optional private scale estimate plus, per round, half the round budget on
+// selection and half on measurement — all sequential spends summing to eps.
 func (m *MWEM) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "scale", Kind: noise.Sequential},

@@ -39,13 +39,6 @@ func (p *PHP) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Ra
 	return runPlan(p, x, w, eps, rng)
 }
 
-// RunMeter implements Metered. Each bisection round touches disjoint
-// intervals, so its selections form one parallel scope of eps1/maxIter;
-// the final bucket counts are likewise disjoint and share eps2.
-func (p *PHP) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(p, x, w, m)
-}
-
 // phpInterval is one partition interval [lo, hi).
 type phpInterval struct{ lo, hi int }
 
@@ -233,7 +226,9 @@ func (p *phpPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner. Each bisection round touches disjoint
+// intervals, so its selections form one parallel scope of eps1/maxIter; the
+// final bucket counts are likewise disjoint and share eps2.
 func (p *PHP) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "split*", Kind: noise.Parallel},

@@ -50,20 +50,6 @@ func runPlan(a Algorithm, x *vec.Vector, w *workload.Workload, eps float64, rng 
 	return out, nil
 }
 
-// runPlanMeter implements RunMeter for every mechanism: the caller supplies
-// the (possibly audited) meter, whose budget is the planned eps.
-func runPlanMeter(a Algorithm, x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	p, err := a.Plan(x, w, m.Total())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, x.N())
-	if err := p.Execute(m, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ExecuteAudited runs one trial of a prepared plan through a ledger-backed
 // meter and asserts afterwards that the mechanism spent exactly eps (within
 // 1e-9) and that the ledger matches a's declared composition plan. It is the

@@ -43,19 +43,12 @@ func (p Privelet) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *ran
 	return runPlan(p, x, w, eps, rng)
 }
 
-// RunMeter implements Metered. The full wavelet coefficient vector is one
-// vector-valued query with per-record L1 sensitivity 1 (see the type
-// comment), so its per-coefficient draws jointly cost eps: the 1D path
-// charges it once for the whole vector, the 2D path charges its interleaved
-// per-cell draws under one "coeffs" scope.
-func (p Privelet) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(p, x, w, m)
-}
-
-// CompositionPlan implements Planner. "coeffs" appears under both kinds
-// because the 1D path charges the vector query once (sequential) while the
-// 2D path charges its per-cell draws as one scope (parallel aggregation to
-// the same eps total).
+// CompositionPlan implements Planner. The full wavelet coefficient vector is
+// one vector-valued query with per-record L1 sensitivity 1 (see the type
+// comment), so its per-coefficient draws jointly cost eps. "coeffs" appears
+// under both kinds because the 1D path charges the vector query once
+// (sequential) while the 2D path charges its interleaved per-cell draws as
+// one scope (parallel aggregation to the same eps total).
 func (Privelet) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "coeffs", Kind: noise.Sequential},

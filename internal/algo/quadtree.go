@@ -39,12 +39,6 @@ func (q *QuadTree) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *ra
 	return runPlan(q, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: geometric per-level budgets summing to eps,
-// each level a parallel scope over its disjoint nodes.
-func (q *QuadTree) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(q, x, w, m)
-}
-
 // Plan implements Algorithm: the quadtree layout is fixed per (grid, height),
 // so the plan is a cached flat tree with the geometric budget.
 func (q *QuadTree) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, error) {
@@ -65,7 +59,8 @@ func (q *QuadTree) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan,
 	return newTreePlan(flat, x.Data, tree.GeometricLevelBudget(eps, flat.Height())), nil
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: geometric per-level budgets summing to
+// eps, each level a parallel scope over its disjoint nodes.
 func (q *QuadTree) CompositionPlan() noise.Plan {
 	return noise.Plan{{Label: "level*", Kind: noise.Parallel}}
 }
@@ -102,14 +97,6 @@ func (t *HybridTree) DataDependent() bool { return true }
 // Run implements Algorithm.
 func (t *HybridTree) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Rand) ([]float64, error) {
 	return runPlan(t, x, w, eps, rng)
-}
-
-// RunMeter implements Metered: each kd level's marginals run over disjoint
-// regions (one parallel scope of epsStruct/kd per level, labels "kd<d>"),
-// then the fixed-structure counts follow QuadTree's geometric per-level
-// scopes at the remaining budget.
-func (t *HybridTree) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(t, x, w, m)
 }
 
 // hybridPlan carries the resolved parameters and a pool of per-trial
@@ -196,7 +183,10 @@ func (p *hybridPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: each kd level's marginals run over
+// disjoint regions (one parallel scope of epsStruct/kd per level, labels
+// "kd<d>"), then the fixed-structure counts follow QuadTree's geometric
+// per-level scopes at the remaining budget.
 func (t *HybridTree) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "kd*", Kind: noise.Parallel},

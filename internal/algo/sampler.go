@@ -56,11 +56,6 @@ func (s *samplerVersioned) Run(x *vec.Vector, w *workload.Workload, eps float64,
 	return runPlan(s, x, w, eps, rng)
 }
 
-// RunMeter implements Metered.
-func (s *samplerVersioned) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(s, x, w, m)
-}
-
 // CompositionPlan implements Planner by delegation; a wrapped mechanism
 // without a declared plan reports nil, which the audit treats as
 // "sum check only" exactly as for an unwrapped one.

@@ -59,15 +59,6 @@ func (s *SF) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Ran
 	return runPlan(s, x, w, eps, rng)
 }
 
-// RunMeter implements Metered: the optional scale estimate and the k-1
-// boundary selections compose sequentially; the per-bucket measurements run
-// over disjoint buckets, so each bucket (a flat count, or a whole in-bucket
-// hierarchy under the consistency modification) gets the full eps2 and the
-// buckets compose in parallel.
-func (s *SF) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Meter) ([]float64, error) {
-	return runPlanMeter(s, x, w, m)
-}
-
 // sfPlan hoists the prefix and squared-prefix tables the boundary scores are
 // built from, plus the resolved parameters. Boundary selection and the
 // in-bucket hierarchies draw fresh noise per trial; bucket widths are
@@ -225,7 +216,11 @@ func (p *sfPlan) Execute(m *noise.Meter, out []float64) error {
 	return m.Err()
 }
 
-// CompositionPlan implements Planner.
+// CompositionPlan implements Planner: the optional scale estimate and the
+// k-1 boundary selections compose sequentially; the per-bucket measurements
+// run over disjoint buckets, so each bucket (a flat count, or a whole
+// in-bucket hierarchy under the consistency modification) gets the full eps2
+// and the buckets compose in parallel.
 func (s *SF) CompositionPlan() noise.Plan {
 	return noise.Plan{
 		{Label: "scale", Kind: noise.Sequential},

@@ -1,4 +1,4 @@
-// Doc.go records the eight invariants dpbench-lint enforces at compile time
+// Doc.go records the six invariants dpbench-lint enforces at compile time
 // and the escape hatches for audited exceptions. The authoritative wording
 // of each invariant lives on the Analyzer.Doc of the subpackages; this file
 // is the map.
@@ -13,7 +13,7 @@
 // fails — at best — in a later runtime audit or a golden diff. The
 // analyzers turn that whole bug class into a build failure.
 //
-// # The eight analyzers
+// # The six analyzers
 //
 //   - noisegate (internal/analysis/noisegate): inside dpbench/internal/algo,
 //     privacy-relevant randomness must flow through an accountant-backed
@@ -21,21 +21,6 @@
 //     than on the explicit zero-cost noise.Meter.Rand() path), and
 //     hand-rolled math.Log/math.Exp noise synthesis are flagged, because a
 //     draw the accountant never sees is a spend the audit can never prove.
-//
-//   - budgetlabel (internal/analysis/budgetlabel): every ledger label passed
-//     to a Meter spend method must be a string constant that the owning
-//     mechanism's CompositionPlan() declares (wildcard entries like "level*"
-//     included). Two package idioms are resolved rather than rejected:
-//     idxLabel(labelTable("kd", n), i) families check against the plan's
-//     wildcards, and a label that is a parameter of an unexported helper is
-//     checked at each call site against the caller's plan instead.
-//     Undeclared-label drift is otherwise caught only when an audited run
-//     happens to execute that code path.
-//
-//   - subclose (internal/analysis/subclose): a meter returned by Sub /
-//     SubEps / SubParEps (or re-armed by ResetSub) must be closed back into
-//     its parent on every control-flow path, in the style of vet's
-//     lostcancel. A leaked sub-meter under-reports spend silently.
 //
 //   - determinism (internal/analysis/determinism): in dpbench/internal/algo,
 //     internal/tree, internal/core, internal/experiments and internal/ledger,
@@ -97,16 +82,30 @@
 //     Execute, and tracks every meter charge as an exact linear expression
 //     in eps (big.Rat coefficients, so eps/3 + 2*eps/3 is exactly eps).
 //     Sequential charges add, parallel charges (ChargePar, SubParEps) max,
-//     sub-meters must close back into their parent, and paths join at
-//     branches. On every non-exempt outcome path (exempt: paths that
-//     provably return a non-nil error before spending) the accumulated
-//     total must equal the declared budget exactly — over-spend,
-//     under-spend, and branch-asymmetric spend are all compile failures.
+//     and paths join at branches. On every non-exempt outcome path
+//     (exempt: paths that provably return a non-nil error before spending)
+//     the accumulated total must equal the declared budget exactly —
+//     over-spend, under-spend, and branch-asymmetric spend are all compile
+//     failures. A sub-meter still open when Execute returns is a finding,
+//     since Close is the only way its spend reaches the parent.
+//
 //     An example finding, from a plan that charges half its budget up
 //     front and then draws at the full rate:
 //
 //     mech.go:47: epsflow: OverMech over-spends: this path charges
 //     3/2*eps of a declared budget eps
+//
+//     On the same paths epsflow checks the audit's other half: each charge
+//     on Execute's root meter, and the label each Sub, SubEps, SubParEps or
+//     ResetSub on it closes under, must match an entry of the mechanism's
+//     CompositionPlan literal by label and by kind, as noise.Plan.allows
+//     does (tree.MeasureInto counts as the parallel "level*" family).
+//     Spends inside a sub-meter fold into its one Close charge and are not
+//     compared. A label must be a string constant or a
+//     labelTable/idxLabel family; anything else is a finding. A //dp:spends
+//     function records the labels it charges, and each mechanism that calls
+//     it on its root meter checks them. A mechanism whose plan is not a
+//     literal gets the sum check only, as the audit does with a nil plan.
 //
 //     Loops the interpreter cannot close (data-dependent trip counts) are
 //     declared with a checked `//dp:spends [par] <expr>` annotation on the

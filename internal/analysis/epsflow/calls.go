@@ -223,7 +223,7 @@ func (vr *verifier) idxLabelCall(call *ast.CallExpr, st *state) []ev {
 	var out []ev
 	for _, le := range vr.evalList(call.Args, st) {
 		if len(le.vals) == 2 && le.vals[0].kind == vLabels && le.vals[1].kind == vNum {
-			out = append(out, ev{v: value{kind: vStr, family: le.vals[0].family, famIdx: le.vals[1].r, famIdxOK: true}, st: le.st})
+			out = append(out, ev{v: value{kind: vStr, family: le.vals[0].family, famIdx: le.vals[1].r, famIdxOK: true, at: call}, st: le.st})
 		} else {
 			out = append(out, ev{v: value{kind: vStr, bAtom: -1}, st: le.st})
 		}
@@ -504,6 +504,7 @@ func (vr *verifier) treeMeasureCall(call *ast.CallExpr, st *state) []ev {
 		if !budgetSet || budget.kind != vSlice || !budget.sumKnown {
 			vr.abort(call, "cannot bound the level budget of a tree measurement")
 		}
+		vr.rootCharge(meterKey, labelUse{label: value{kind: vStr, family: "level"}, par: true, method: "tree.MeasureInto", at: call})
 		le.st.meterAt(meterKey).addSeq(budget.sum)
 		out = append(out, ev{v: opaqueVal(), st: le.st})
 	}
@@ -675,12 +676,18 @@ func (vr *verifier) runInline(call *ast.CallExpr, decl *ast.FuncDecl, recv value
 
 // --- meter operations ---
 
+// spendSig describes one spend method: where its epsilon sits, whether it
+// charges in parallel, and what it returns. Every spend method takes its
+// ledger label as argument 0.
 type spendSig struct {
 	epsArg int
 	par    bool
 	ret    byte // f float, i int, b bool(poison-on-false), v void, s slice
 }
 
+// spendOps is the one list of the Meter methods that charge under a label;
+// keep it in step with internal/noise/meter.go. The sub-meter methods
+// (Sub, SubEps, SubParEps, ResetSub) and Close are modeled in applyMeterOp.
 var spendOps = map[string]spendSig{
 	"Laplace":              {2, false, 'f'},
 	"LaplacePar":           {2, true, 'f'},
@@ -723,6 +730,7 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 			vr.abort(call, "cannot track the epsilon passed to %s", name)
 		}
 		amount := vals[sig.epsArg].r
+		vr.rootCharge(key, labelUse{label: vals[0], par: sig.par, method: name, at: call.Args[0]})
 		if sig.par {
 			ck, pe, ok := parKeyOf(vals[0], amount, vr.at)
 			if !ok {
@@ -751,6 +759,7 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 		if name == "Sub" {
 			budget = ratMul(budget, ms.budget)
 		}
+		vr.rootCharge(key, labelUse{label: label, par: name == "SubParEps", method: name, at: call.Args[0]})
 		sub := newMeterState(budget, false)
 		sub.label = label.s
 		sub.parent = key
@@ -776,6 +785,7 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 		if !ok {
 			vr.abort(call, "cannot resolve the parallel flag passed to ResetSub")
 		}
+		vr.rootCharge(key, labelUse{label: vals[1], par: par, method: name, at: call.Args[1]})
 		sub := newMeterState(vals[2].r, false)
 		sub.label = vals[1].s
 		sub.parent = key
@@ -922,6 +932,7 @@ func (vr *verifier) annCall(call *ast.CallExpr, callee types.Object, anno *spend
 			if meterKey == "" {
 				vr.abort(call, "//dp:spends function %s takes no meter argument", callee.Name())
 			}
+			vr.rootCharge(meterKey, labelUse{via: callee, at: call})
 			le.st.annEvents = append(le.st.annEvents, annEvent{
 				fn: callee, meterKey: meterKey, par: anno.par,
 				amount: amount, argsKey: amount.render(vr.at), pos: call,

@@ -12,7 +12,13 @@
 // Exempt paths are the ones the runtime audit also skips: a poisoned meter
 // (a draw already failed) or a provably non-nil returned error. Anything
 // else that deviates is a finding: over-spend, under-spend (paths that
-// silently waste budget), or branch-dependent spend.
+// silently waste budget), branch-dependent spend, or a sub-meter still open
+// at return (its spend reaches the parent only through Close).
+//
+// The audit's second check is proved on the same paths (labels.go): each
+// charge on Execute's root meter, and each sub-meter that closes into it,
+// must match an entry of the mechanism's CompositionPlan literal by label
+// and by kind. Labels must be constants or labelTable families.
 //
 // Structure-dependent loops and recursion that no abstract trip count can
 // close are handled by checked `//dp:spends [par] <expr>` annotations —
@@ -36,7 +42,7 @@ import (
 // Analyzer is the epsflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "epsflow",
-	Doc:  "every path through a mechanism's Plan/Execute must charge exactly the declared epsilon (symbolic budget verification)",
+	Doc:  "every path through a mechanism's Plan/Execute must charge exactly the declared epsilon, under labels and kinds its CompositionPlan declares (symbolic budget verification)",
 	Run:  run,
 }
 
@@ -59,6 +65,8 @@ func run(pass *analysis.Pass) error {
 		spendFor: map[ast.Stmt]*spendAnno{},
 		epsID:    -1,
 		reported: map[string]bool{},
+		recorded: map[useKey]bool{},
+		fnLabels: map[types.Object][]labelUse{},
 	}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -93,8 +101,8 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
-				if name, ok := mechanismPlan(pass.TypesInfo, fd); ok {
-					vr.verifyMechanism(name, fd)
+				if tn := mechanismPlan(pass.TypesInfo, fd); tn != nil {
+					vr.verifyMechanism(tn, fd)
 				}
 			}
 		}
@@ -173,18 +181,19 @@ func (vr *verifier) buildTouches() {
 
 // mechanismPlan recognizes the mechanism entry-point shape: a method named
 // Plan with exactly one float64 parameter (the budget; the data and workload
-// ride along untyped for the symbolic run) returning (plan, error).
-func mechanismPlan(info *types.Info, fd *ast.FuncDecl) (string, bool) {
+// ride along untyped for the symbolic run) returning (plan, error). It
+// returns the mechanism type, or nil.
+func mechanismPlan(info *types.Info, fd *ast.FuncDecl) *types.TypeName {
 	if fd.Name.Name != "Plan" || fd.Recv == nil || fd.Body == nil {
-		return "", false
+		return nil
 	}
 	obj, ok := info.Defs[fd.Name].(*types.Func)
 	if !ok {
-		return "", false
+		return nil
 	}
 	sig := obj.Type().(*types.Signature)
 	if sig.Results().Len() != 2 || !isErrorType(sig.Results().At(1).Type()) {
-		return "", false
+		return nil
 	}
 	floats := 0
 	for i := 0; i < sig.Params().Len(); i++ {
@@ -193,19 +202,17 @@ func mechanismPlan(info *types.Info, fd *ast.FuncDecl) (string, bool) {
 		}
 	}
 	if floats != 1 {
-		return "", false
+		return nil
 	}
-	tn := namedStruct(sig.Recv().Type())
-	if tn == nil {
-		return "", false
-	}
-	return tn.Name(), true
+	return namedStruct(sig.Recv().Type())
 }
 
 // verifyMechanism symbolically executes one Plan and, for each feasible plan
 // it can produce, the paired Execute, checking every non-exempt path's total
-// charge against the declared eps.
-func (vr *verifier) verifyMechanism(name string, planDecl *ast.FuncDecl) {
+// charge against the declared eps and every root-meter charge's label
+// against the mechanism's CompositionPlan.
+func (vr *verifier) verifyMechanism(tn *types.TypeName, planDecl *ast.FuncDecl) {
+	name := tn.Name()
 	defer func() {
 		if r := recover(); r != nil {
 			ae, ok := r.(abortError)
@@ -223,6 +230,7 @@ func (vr *verifier) verifyMechanism(name string, planDecl *ast.FuncDecl) {
 	vr.depth = 0
 	vr.inlining = map[*ast.FuncDecl]bool{}
 	vr.mech = name
+	vr.root, vr.plan, vr.recording = "", vr.compositionPlan(tn), nil
 	vr.epsID = vr.at.fresh("eps", false)
 
 	st := &state{cons: newConstraints(), meters: map[string]*meterState{}, memo: map[string]value{}}
@@ -275,6 +283,7 @@ func (vr *verifier) runExecute(name string, exDecl *ast.FuncDecl, plan value, st
 			fr.vars[obj] = plan
 		}
 	}
+	vr.root = rootKey
 	if rootKey == "" {
 		vr.report(exDecl, "%s's Execute takes no meter; its spend cannot be verified", name)
 		*findings++
@@ -291,6 +300,7 @@ func (vr *verifier) runExecute(name string, exDecl *ast.FuncDecl, plan value, st
 		if at == nil {
 			at = ast.Node(exDecl)
 		}
+		vr.applyDefers(o.st.frames[0], o.st, at)
 		for _, key := range o.st.mOrder {
 			ms := o.st.meters[key]
 			if !ms.isRoot && !ms.closed && !ms.total().isZero() {

@@ -49,6 +49,9 @@ func (vr *verifier) eval(e ast.Expr, st *state) []ev {
 		}
 		if tv.Value != nil {
 			if v, ok := constValue(tv.Value); ok {
+				if v.kind == vStr {
+					v.at = e
+				}
 				return one(v, st)
 			}
 		}
@@ -512,7 +515,7 @@ func (vr *verifier) evalIndex(e *ast.IndexExpr, st *state) []ev {
 		if b.v.kind == vLabels {
 			for _, ix := range vr.eval(e.Index, b.st) {
 				if ix.v.kind == vNum {
-					out = append(out, ev{v: value{kind: vStr, family: b.v.family, famIdx: ix.v.r, famIdxOK: true}, st: ix.st})
+					out = append(out, ev{v: value{kind: vStr, family: b.v.family, famIdx: ix.v.r, famIdxOK: true, at: e}, st: ix.st})
 				} else {
 					out = append(out, ev{v: value{kind: vStr, bAtom: -1}, st: ix.st})
 				}

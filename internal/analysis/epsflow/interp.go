@@ -40,6 +40,15 @@ type verifier struct {
 
 	reported map[string]bool
 	mech     string // current mechanism name, for messages
+
+	// The label check (labels.go): the current verification's root meter,
+	// the mechanism's plan (nil: sum check only), and the //dp:spends
+	// function whose root-meter labels are being recorded (nil: checking).
+	root      string
+	plan      planSpec
+	recording types.Object
+	recorded  map[useKey]bool
+	fnLabels  map[types.Object][]labelUse
 }
 
 // abortError unwinds one mechanism verification that cannot proceed.
@@ -254,9 +263,15 @@ func (vr *verifier) declVars(vs *ast.ValueSpec, st *state) []*state {
 	if len(vs.Values) == 0 {
 		for _, name := range vs.Names {
 			obj := vr.pass.TypesInfo.Defs[name]
-			if obj != nil {
-				st.assign(obj, vr.zeroValue(obj.Type()))
+			if obj == nil {
+				continue
 			}
+			v := vr.zeroValue(obj.Type())
+			if _, ptr := obj.Type().Underlying().(*types.Pointer); !ptr && isMeterType(obj.Type()) {
+				// `var sub noise.Meter` is storage ResetSub arms in place.
+				v = value{kind: vMeter, meter: vr.freshStem("meter:" + obj.Name()), bAtom: -1}
+			}
+			st.assign(obj, v)
 		}
 		return []*state{st}
 	}
@@ -920,7 +935,7 @@ func (vr *verifier) bindLoopVars(info loopInfo, st *state) int {
 		if info.rangeX != nil {
 			evs := vr.eval(info.rangeX, st)
 			if len(evs) == 1 && evs[0].v.kind == vLabels && iota >= 0 {
-				st.assign(info.valVar, value{kind: vStr, family: evs[0].v.family, famIdx: ratAtom(iota), famIdxOK: true})
+				st.assign(info.valVar, value{kind: vStr, family: evs[0].v.family, famIdx: ratAtom(iota), famIdxOK: true, at: info.rangeX})
 				bound = true
 			}
 		}

@@ -685,6 +685,8 @@ func (vr *verifier) verifyAnnotatedFn(obj types.Object, decl *ast.FuncDecl, anno
 		vr.report(decl, "//dp:spends function %s has no meter parameter", obj.Name())
 		return
 	}
+	vr.root, vr.recording = meterKey, obj
+	defer func() { vr.recording = nil }()
 	if decl.Type.Results != nil {
 		for _, field := range decl.Type.Results.List {
 			for _, name := range field.Names {

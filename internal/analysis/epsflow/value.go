@@ -67,6 +67,7 @@ type value struct {
 	family   string // label-table family ("split", "kd", ...)
 	famIdx   rat    // symbolic index into the family
 	famIdxOK bool
+	at       ast.Expr // where a constant or family label was written
 
 	// vErr
 	errNonNil tri

@@ -1,44 +1,15 @@
-// Package meterapi centralizes the analyzers' knowledge of the
-// dpbench/internal/noise surface: which methods belong to noise.Meter,
-// which of them record ledger spends and where their label argument sits,
-// and which open sub-meter scopes.
+// Package meterapi tells the analyzers which calls are methods of
+// dpbench/internal/noise's Meter. Which of those methods charge under a
+// ledger label, and how, is epsflow's spendOps table alone.
 package meterapi
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
 // PkgPath is the import path of the metered-noise package.
 const PkgPath = "dpbench/internal/noise"
-
-// SpendLabelArg maps every Meter method that takes a ledger label to the
-// index of the label argument. Keep in sync with internal/noise/meter.go;
-// budgetlabel's analysistest fixtures exercise each class.
-var SpendLabelArg = map[string]int{
-	"Laplace":              0,
-	"LaplacePar":           0,
-	"LaplaceVec":           0,
-	"LaplaceVecInto":       0,
-	"LaplaceMechanism":     0,
-	"LaplaceMechanismInto": 0,
-	"Geometric":            0,
-	"ExpMech":              0,
-	"ExpMechPar":           0,
-	"ExpMechBuf":           0,
-	"ExpMechBufPar":        0,
-	"Charge":               0,
-	"ChargePar":            0,
-	"Sub":                  0,
-	"SubEps":               0,
-	"SubParEps":            0,
-	"ResetSub":             1,
-}
-
-// SubMethods are the Meter methods that open a child scope whose result must
-// be closed back into the parent.
-var SubMethods = map[string]bool{"Sub": true, "SubEps": true, "SubParEps": true}
 
 // MeterMethod reports whether call invokes a method on noise.Meter and, if
 // so, the method name.
@@ -72,13 +43,4 @@ func isMeter(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == PkgPath && obj.Name() == "Meter"
-}
-
-// ConstString resolves e to a compile-time string constant.
-func ConstString(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

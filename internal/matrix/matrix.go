@@ -4,9 +4,9 @@
 // matrix S of linear queries, measure Sx under Laplace noise calibrated to
 // S's sensitivity, and reconstruct workload answers by least squares. The
 // package provides dense matrices, the pseudo-inverse reconstruction, exact
-// expected-error computation (used for the analytical comparisons in
-// EXPERIMENTS.md), and the strategy matrices of the hierarchical and wavelet
-// mechanisms so their matrix-mechanism equivalence is testable.
+// expected-error computation, and the strategy matrices of the hierarchical
+// and wavelet mechanisms so their matrix-mechanism equivalence is testable.
+// No other package imports it yet; its tests are its only callers.
 package matrix
 
 import (

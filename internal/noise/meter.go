@@ -130,7 +130,7 @@ func (m *Meter) Ledger() []Spend {
 
 // Err returns the first budget or configuration error observed by this meter
 // (overspend, non-positive epsilon, invalid exponential-mechanism input).
-// Mechanisms return it at the end of RunMeter so a bad trial fails the run
+// Mechanisms return it at the end of Execute so a bad trial fails the run
 // instead of crashing a worker.
 func (m *Meter) Err() error { return m.err }
 
@@ -462,10 +462,12 @@ type PlanEntry struct {
 }
 
 // Plan is a mechanism's declared composition plan: the complete set of ledger
-// labels its RunMeter may emit and how each composes. The audit rejects any
-// ledger entry not covered by the plan, so an undeclared spend — the classic
-// silent budget bug — is a test failure. A label may appear under both kinds
-// when different code paths compose it differently.
+// labels its Execute may charge on the trial's meter and how each composes
+// (a sub-meter's spends fold into the one charge its Close makes under the
+// sub-meter's label). The audit rejects any ledger entry not covered by the
+// plan, so an undeclared spend — the classic silent budget bug — is a test
+// failure. A label may appear under both kinds when different code paths
+// compose it differently.
 type Plan []PlanEntry
 
 func (p Plan) allows(label string, parallel bool) bool {

@@ -28,7 +28,6 @@ package release
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"dpbench/internal/algo"
 	"dpbench/internal/noise"
@@ -85,10 +84,17 @@ const (
 // dpbench CLI's -sampler flag.
 func ParseSampler(s string) (Sampler, error) { return noise.ParseSamplerVersion(s) }
 
-// pendingSampler carries a WithSampler request from option application to
-// the wrapping step at the end of New: options mutate the mechanism in
-// place, but the sampler pin is a view around it, so New applies it last.
-var pendingSampler sync.Map // Mechanism -> Sampler
+// optionTarget is what New hands each option: the mechanism under
+// construction (which underlying unwraps for the type-asserting options)
+// plus the sampler pin WithSampler records for this New call alone. The pin
+// is a view around the mechanism, so New applies it after every option.
+type optionTarget struct {
+	Mechanism
+	sampler Sampler
+}
+
+// Unwrap returns the mechanism under construction.
+func (t *optionTarget) Unwrap() Mechanism { return t.Mechanism }
 
 // WithSampler pins the sampler family the mechanism's plans draw noise from.
 // It applies to every mechanism; the default is SamplerLegacy, whose stream
@@ -98,7 +104,11 @@ func WithSampler(v Sampler) Option {
 		if v != SamplerLegacy && v != SamplerFast {
 			return fmt.Errorf("unknown sampler version %d", v)
 		}
-		pendingSampler.Store(m, v)
+		t, ok := m.(*optionTarget)
+		if !ok {
+			return fmt.Errorf("WithSampler applies only through New")
+		}
+		t.sampler = v
 		return nil
 	}
 }
@@ -112,20 +122,18 @@ func New(name string, opts ...Option) (Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
+	t := &optionTarget{Mechanism: a}
 	for _, opt := range opts {
-		if err := opt(a); err != nil {
-			pendingSampler.Delete(a)
+		if err := opt(t); err != nil {
 			return nil, fmt.Errorf("release: constructing %s: %w", name, err)
 		}
 	}
-	if v, ok := pendingSampler.LoadAndDelete(a); ok {
-		return algo.WithSamplerVersion(a, v.(Sampler)), nil
-	}
-	return a, nil
+	return algo.WithSamplerVersion(a, t.sampler), nil
 }
 
-// underlying unwraps configuration views (currently only the sampler pin) so
-// type-asserting options reach the concrete mechanism they configure.
+// underlying unwraps configuration views (New's option target and the
+// sampler pin) so type-asserting options reach the concrete mechanism they
+// configure.
 func underlying(m Mechanism) Mechanism {
 	for {
 		u, ok := m.(interface{ Unwrap() Mechanism })
