@@ -18,11 +18,18 @@ func TestEpsflow(t *testing.T) {
 
 // TestLabels drives the CompositionPlan check: labels and kinds of root-meter
 // charges, sub-meter closes, tree measurements and //dp:spends functions,
-// label families and forwarding, the //lint:allow escape hatch, and a
-// dynamically built plan that gets the sum check only.
+// label families and forwarding, and the //lint:allow escape hatch.
 func TestLabels(t *testing.T) {
 	t.Parallel()
 	analysistest.Run(t, Analyzer, filepath.Join("testdata", "src", "labels"), "dpbench/internal/algo")
+}
+
+// TestOpenPlan pins the conservative path: a mechanism whose plan is built
+// dynamically cannot be checked statically, so it gets the sum check only
+// and its labels are not flagged.
+func TestOpenPlan(t *testing.T) {
+	t.Parallel()
+	analysistest.Run(t, Analyzer, filepath.Join("testdata", "src", "openplan"), "dpbench/internal/algo")
 }
 
 // TestSubMeters drives the close rule: sub-meters left open on some path,
