@@ -339,15 +339,16 @@ func BenchmarkAlgoSFFast(b *testing.B)   { benchAlgorithm1DFast(b, "SF") }
 // BenchmarkPlanExecute measures ONE trial through a prepared plan (structure
 // building amortized away), next to BenchmarkAlgo* which pays Plan+Execute
 // per Run. The gap is what the experiment runner saves on every trial after
-// the first. The 2d/ set runs the tree mechanisms on the sweep's 128x128 grid.
+// the first. The 2d/ set runs the tree mechanisms on the sweep's 128x128 grid;
+// the 2d-1e7/ set runs the mechanisms of the sweep's slowest cells.
 func BenchmarkPlanExecute(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	gen := func(name string, dims ...int) *vec.Vector {
+	gen := func(name string, scale int, dims ...int) *vec.Vector {
 		d, err := dataset.ByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		x, err := d.Generate(rng, 100_000, dims...)
+		x, err := d.Generate(rng, scale, dims...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,10 +360,13 @@ func BenchmarkPlanExecute(b *testing.B) {
 		w      *workload.Workload
 		names  []string
 	}{
-		{"", gen("SEARCH", 4096), workload.Prefix(4096),
+		{"", gen("SEARCH", 1e5, 4096), workload.Prefix(4096),
 			[]string{"IDENTITY", "HB", "PRIVELET", "DAWA", "MWEM", "EFPA", "SF", "AHP", "PHP"}},
-		{"2d/", gen("ADULT-2D", 128, 128), nil,
+		{"2d/", gen("ADULT-2D", 1e5, 128, 128), nil,
 			[]string{"HYBRIDTREE", "QUADTREE", "HB", "GREEDY-H"}},
+		// The sweep's slowest 2D cell: scale 1e7 and its 2000 rectangles.
+		{"2d-1e7/", gen("ADULT-2D", 1e7, 128, 128), workload.RandomRange2D(128, 128, 2000, rng),
+			[]string{"DPCUBE", "MWEM*", "AGRID"}},
 	}
 	for _, set := range sets {
 		for _, name := range set.names {

@@ -82,7 +82,7 @@ type ahpPlan struct {
 	n          int
 	eps1, eps2 float64
 	threshold  float64
-	bufs       sync.Pool // *ahpScratch
+	bufs       *sync.Pool // *ahpScratch
 }
 
 // ahpScratch is one trial's stage-one state: the noisy histogram, the sort
@@ -114,9 +114,9 @@ func (a *AHP) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, erro
 		data: x.Data, n: n, eps1: eps1, eps2: (1 - rho) * eps,
 		threshold: eta * math.Log(float64(n)) / eps1,
 	}
-	p.bufs.New = func() any {
+	p.bufs = scratchPool(scratchKey{mech: "AHP", sizes: [3]int{n}}, func() any {
 		return &ahpScratch{noisy: make([]float64, n), order: make([]int, n), bounds: make([]int, 0, 64)}
-	}
+	})
 	return p, nil
 }
 

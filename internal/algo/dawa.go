@@ -101,7 +101,7 @@ type dawaPlan struct {
 	endOff []int32 // candidate indices with hi == j: endIdx[endOff[j]:endOff[j+1]]
 	endIdx []int32
 
-	bufs sync.Pool // *dawaScratch
+	bufs *sync.Pool // *dawaScratch
 }
 
 // dawaScratch is one trial's partition and stage-two state. The stage-two
@@ -230,24 +230,28 @@ func (d *DAWA) Plan(x *vec.Vector, w *workload.Workload, eps float64) (Plan, err
 		}
 	}
 
-	p.bufs.New = func() any {
+	ncands, twoD := len(p.cands), 0
+	if perm != nil {
+		twoD = 1
+	}
+	p.bufs = scratchPool(scratchKey{mech: "DAWA", sizes: [3]int{n, ncands, twoD}}, func() any {
 		sc := &dawaScratch{
 			fsc:        tree.NewScratch(),
-			costs:      make([]float64, len(p.cands)),
+			costs:      make([]float64, ncands),
 			best:       make([]float64, n+1),
 			back:       make([]int, n+1),
 			bounds:     make([]int, 0, n+1),
 			bucketData: make([]float64, n),
 			bucketEst:  make([]float64, n),
 		}
-		if p.perm != nil {
+		if twoD == 1 {
 			// 2D: the Hilbert inverse permutation scatters a full
 			// linearized estimate into out, so the buffer is part of the
 			// scratch, not a per-trial allocation.
 			sc.est = make([]float64, n)
 		}
 		return sc
-	}
+	})
 	return p, nil
 }
 

@@ -45,19 +45,19 @@ func (d *DPCube) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand
 // histogram and partition buffers recycled across trials.
 type dpcubePlan struct {
 	data       []float64
-	dims       []int
-	n          int
+	nx, ny     int // ny == 1 in 1D
 	minCells   int
 	eps1, eps2 float64
-	bufs       sync.Pool // *dpcubeScratch
+	bufs       *sync.Pool // *dpcubeScratch
 }
 
-// dpcubeScratch is one trial's noisy histogram plus, in 1D, the partition
-// boundaries (1D kd partitions are contiguous intervals, so boundaries
-// replace the per-partition cell lists without changing content or order).
+// dpcubeScratch is one trial's noisy histogram, the kd leaves it splits
+// into (a 1D partition is a one-row rectangle), and the marginal the 2D
+// split sums into.
 type dpcubeScratch struct {
-	noisy  []float64
-	bounds []int
+	noisy []float64
+	parts []kdRect
+	marg  []float64
 }
 
 // Plan implements Algorithm.
@@ -73,13 +73,21 @@ func (d *DPCube) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, e
 	if minCells < 1 {
 		minCells = 10
 	}
+	nx, ny := x.Dims[len(x.Dims)-1], 1
+	if len(x.Dims) == 2 {
+		ny = x.Dims[0]
+	}
 	p := &dpcubePlan{
-		data: x.Data, dims: x.Dims, n: x.N(), minCells: minCells,
+		data: x.Data, nx: nx, ny: ny, minCells: minCells,
 		eps1: rho * eps, eps2: (1 - rho) * eps,
 	}
-	p.bufs.New = func() any {
-		return &dpcubeScratch{noisy: make([]float64, p.n), bounds: make([]int, 0, 64)}
-	}
+	p.bufs = scratchPool(scratchKey{mech: "DPCUBE", sizes: [3]int{nx, ny}}, func() any {
+		return &dpcubeScratch{
+			noisy: make([]float64, nx*ny),
+			parts: make([]kdRect, 0, 64),
+			marg:  make([]float64, maxInt(nx, ny)),
+		}
+	})
 	return p, nil
 }
 
@@ -95,41 +103,32 @@ func (p *dpcubePlan) Execute(m *noise.Meter, out []float64) error {
 	// with the per-cell noisy estimates. Partition estimates spread
 	// uniformly carry variance 2/(eps2^2 * |p|^2) per cell (ignoring
 	// uniformity bias); per-cell estimates carry 2/eps1^2.
-	if len(p.dims) == 1 {
-		bounds := append(sc.bounds[:0], 0)
-		bounds = kdSplit1DBounds(noisy, 0, p.n, p.minCells, 1/p.eps1, bounds)
-		sc.bounds = bounds
-		for b := 0; b+1 < len(bounds); b++ {
-			lo, hi := bounds[b], bounds[b+1]
-			var trueTotal float64
-			for cell := lo; cell < hi; cell++ {
-				trueTotal += p.data[cell]
-			}
-			est := trueTotal + m.LaplacePar("parts", 1/p.eps2, p.eps2)
-			size := float64(hi - lo)
-			partPerCell := est / size
-			partVar := 2 / (p.eps2 * p.eps2 * size * size)
-			wPart := cellVar / (cellVar + partVar)
-			for cell := lo; cell < hi; cell++ {
-				out[cell] = wPart*partPerCell + (1-wPart)*noisy[cell]
-			}
-		}
-		return m.Err()
+	nx := p.nx
+	whole := kdRect{0, 0, nx, p.ny}
+	if p.ny == 1 {
+		sc.parts = kdSplit1D(noisy, whole, p.minCells, 1/p.eps1, sc.parts[:0])
+	} else {
+		sc.parts = kdSplit2D(noisy, nx, whole, p.minCells, 1/p.eps1, sc.marg, sc.parts[:0])
 	}
-
-	parts := kdSplit2D(noisy, p.dims[1], kdRect{0, 0, p.dims[1], p.dims[0]}, p.minCells, 1/p.eps1)
-	for _, part := range parts {
+	for _, r := range sc.parts {
+		// Row-major within the partition: the order of the sum is part of
+		// the output's bits.
 		var trueTotal float64
-		for _, cell := range part {
-			trueTotal += p.data[cell]
+		for y := r.y0; y < r.y1; y++ {
+			for _, v := range p.data[y*nx+r.x0 : y*nx+r.x1] {
+				trueTotal += v
+			}
 		}
 		est := trueTotal + m.LaplacePar("parts", 1/p.eps2, p.eps2)
-		size := float64(len(part))
+		size := float64(r.area())
 		partPerCell := est / size
 		partVar := 2 / (p.eps2 * p.eps2 * size * size)
 		wPart := cellVar / (cellVar + partVar)
-		for _, cell := range part {
-			out[cell] = wPart*partPerCell + (1-wPart)*noisy[cell]
+		for y := r.y0; y < r.y1; y++ {
+			row := y * nx
+			for cell := row + r.x0; cell < row+r.x1; cell++ {
+				out[cell] = wPart*partPerCell + (1-wPart)*noisy[cell]
+			}
 		}
 	}
 	return m.Err()
@@ -146,92 +145,103 @@ func (d *DPCube) CompositionPlan() noise.Plan {
 	}
 }
 
-// kdSplit1DBounds recursively partitions [lo, hi) of the noisy histogram,
-// splitting at the mass median while the interval looks non-uniform relative
-// to the noise level. Partitions are contiguous, so they are returned as
-// ascending boundary offsets appended to bounds (the caller seeds it with
-// lo); the leaf order matches the left-to-right recursion.
-func kdSplit1DBounds(noisy []float64, lo, hi, minCells int, noiseUnit float64, bounds []int) []int {
+// kdRect is the half-open cell rectangle [x0, x1) x [y0, y1).
+type kdRect struct{ x0, y0, x1, y1 int }
+
+func (r kdRect) area() int { return (r.x1 - r.x0) * (r.y1 - r.y0) }
+
+// kdSplit1D recursively partitions the one-row rectangle r of the noisy
+// histogram, splitting at the mass median while the interval looks
+// non-uniform relative to the noise level, and appends the leaves to parts
+// in left-to-right order.
+func kdSplit1D(noisy []float64, r kdRect, minCells int, noiseUnit float64, parts []kdRect) []kdRect {
+	lo, hi := r.x0, r.x1
 	if hi-lo <= 1 || stopSplitting(noisy[lo:hi], minCells, noiseUnit) {
-		return append(bounds, hi)
+		return append(parts, r)
 	}
 	mid := massMedian(noisy, lo, hi)
 	if mid <= lo || mid >= hi {
 		mid = (lo + hi) / 2
 	}
-	bounds = kdSplit1DBounds(noisy, lo, mid, minCells, noiseUnit, bounds)
-	return kdSplit1DBounds(noisy, mid, hi, minCells, noiseUnit, bounds)
+	parts = kdSplit1D(noisy, kdRect{lo, 0, mid, 1}, minCells, noiseUnit, parts)
+	return kdSplit1D(noisy, kdRect{mid, 0, hi, 1}, minCells, noiseUnit, parts)
 }
 
-type kdRect struct{ x0, y0, x1, y1 int }
-
-func (r kdRect) cells(nx int) []int {
-	out := make([]int, 0, (r.x1-r.x0)*(r.y1-r.y0))
-	for y := r.y0; y < r.y1; y++ {
-		for x := r.x0; x < r.x1; x++ {
-			out = append(out, y*nx+x)
-		}
+// kdSplit2D recursively partitions the rectangle r of the noisy grid (row
+// stride nx), splitting the wider dimension at its marginal-mass median
+// while the rectangle looks non-uniform, and appends the leaves to parts in
+// the order of the recursion (lower half first). The grid is read in place;
+// marg (at least max(width, height) long) holds the marginal of the node
+// being split and is free again once its cut is chosen.
+func kdSplit2D(noisy []float64, nx int, r kdRect, minCells int, noiseUnit float64, marg []float64, parts []kdRect) []kdRect {
+	if r.area() <= 1 || stopSplittingRect(noisy, nx, r, minCells, noiseUnit) {
+		return append(parts, r)
 	}
-	return out
-}
-
-func kdSplit2D(noisy []float64, nx int, r kdRect, minCells int, noiseUnit float64) [][]int {
-	cells := r.cells(nx)
-	if len(cells) <= 1 {
-		return [][]int{cells}
-	}
-	vals := make([]float64, len(cells))
-	for i, c := range cells {
-		vals[i] = noisy[c]
-	}
-	if stopSplitting(vals, minCells, noiseUnit) {
-		return [][]int{cells}
-	}
-	// Split the wider dimension at its marginal-mass median.
 	w, h := r.x1-r.x0, r.y1-r.y0
 	if w >= h && w > 1 {
-		marg := make([]float64, w)
+		// Column marginal: each column sums its rows top to bottom.
+		mg := marg[:w]
+		clear(mg)
 		for y := r.y0; y < r.y1; y++ {
-			for x := r.x0; x < r.x1; x++ {
-				marg[x-r.x0] += noisy[y*nx+x]
+			for i, v := range noisy[y*nx+r.x0 : y*nx+r.x1] {
+				mg[i] += v
 			}
 		}
-		cut := r.x0 + marginalMedian(marg)
+		cut := r.x0 + marginalMedian(mg)
 		if cut <= r.x0 || cut >= r.x1 {
 			cut = (r.x0 + r.x1) / 2
 		}
-		return append(kdSplit2D(noisy, nx, kdRect{r.x0, r.y0, cut, r.y1}, minCells, noiseUnit),
-			kdSplit2D(noisy, nx, kdRect{cut, r.y0, r.x1, r.y1}, minCells, noiseUnit)...)
+		parts = kdSplit2D(noisy, nx, kdRect{r.x0, r.y0, cut, r.y1}, minCells, noiseUnit, marg, parts)
+		return kdSplit2D(noisy, nx, kdRect{cut, r.y0, r.x1, r.y1}, minCells, noiseUnit, marg, parts)
 	}
-	if h > 1 {
-		marg := make([]float64, h)
-		for y := r.y0; y < r.y1; y++ {
-			for x := r.x0; x < r.x1; x++ {
-				marg[y-r.y0] += noisy[y*nx+x]
-			}
+	// h > 1 here: a rectangle of one row and one column stopped above.
+	// Row marginal: each row sums its cells left to right.
+	mg := marg[:h]
+	for y := r.y0; y < r.y1; y++ {
+		var sum float64
+		for _, v := range noisy[y*nx+r.x0 : y*nx+r.x1] {
+			sum += v
 		}
-		cut := r.y0 + marginalMedian(marg)
-		if cut <= r.y0 || cut >= r.y1 {
-			cut = (r.y0 + r.y1) / 2
-		}
-		return append(kdSplit2D(noisy, nx, kdRect{r.x0, r.y0, r.x1, cut}, minCells, noiseUnit),
-			kdSplit2D(noisy, nx, kdRect{r.x0, cut, r.x1, r.y1}, minCells, noiseUnit)...)
+		mg[y-r.y0] = sum
 	}
-	return [][]int{cells}
+	cut := r.y0 + marginalMedian(mg)
+	if cut <= r.y0 || cut >= r.y1 {
+		cut = (r.y0 + r.y1) / 2
+	}
+	parts = kdSplit2D(noisy, nx, kdRect{r.x0, r.y0, r.x1, cut}, minCells, noiseUnit, marg, parts)
+	return kdSplit2D(noisy, nx, kdRect{r.x0, cut, r.x1, r.y1}, minCells, noiseUnit, marg, parts)
 }
 
-// stopSplitting reports whether a partition should become a leaf: its value
-// spread is small relative to the Laplace noise (so splitting cannot pay
-// off), with a stricter bar below the MinCells size so small partitions only
-// keep splitting when the non-uniformity clearly exceeds the noise floor. As
-// the budget grows the noise unit vanishes and any real non-uniformity keeps
-// splitting, which is what makes DPCube consistent (Theorem 3).
+// stopSplitting reports whether a partition with the given values should
+// become a leaf: its value spread is small relative to the Laplace noise (so
+// splitting cannot pay off), with a stricter bar below the MinCells size so
+// small partitions only keep splitting when the non-uniformity clearly
+// exceeds the noise floor. As the budget grows the noise unit vanishes and
+// any real non-uniformity keeps splitting, which is what makes DPCube
+// consistent (Theorem 3).
 func stopSplitting(vals []float64, minCells int, noiseUnit float64) bool {
 	if len(vals) <= 1 {
 		return true
 	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
+	lo, hi := widenRange(vals, vals[0], vals[0])
+	return hi-lo <= splitThreshold(len(vals), minCells, noiseUnit)
+}
+
+// stopSplittingRect is stopSplitting for the rectangle r of the noisy grid
+// (row stride nx), read in place row by row.
+func stopSplittingRect(noisy []float64, nx int, r kdRect, minCells int, noiseUnit float64) bool {
+	lo := noisy[r.y0*nx+r.x0]
+	hi := lo
+	for y := r.y0; y < r.y1; y++ {
+		lo, hi = widenRange(noisy[y*nx+r.x0:y*nx+r.x1], lo, hi)
+	}
+	return hi-lo <= splitThreshold(r.area(), minCells, noiseUnit)
+}
+
+// widenRange returns the smallest [lo, hi] that holds the given one and
+// every value of vals.
+func widenRange(vals []float64, lo, hi float64) (float64, float64) {
+	for _, v := range vals {
 		if v < lo {
 			lo = v
 		}
@@ -239,11 +249,16 @@ func stopSplitting(vals []float64, minCells int, noiseUnit float64) bool {
 			hi = v
 		}
 	}
-	threshold := 4 * noiseUnit
-	if len(vals) <= minCells {
-		threshold = 8 * noiseUnit
+	return lo, hi
+}
+
+// splitThreshold is the largest value spread at which a partition of the
+// given size stops splitting.
+func splitThreshold(size, minCells int, noiseUnit float64) float64 {
+	if size <= minCells {
+		return 8 * noiseUnit
 	}
-	return hi-lo <= threshold
+	return 4 * noiseUnit
 }
 
 // massMedian returns the index m in (lo, hi) splitting the positive mass of

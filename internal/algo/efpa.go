@@ -52,7 +52,7 @@ type efpaPlan struct {
 	scores     []float64    // score table for the k selection (read-only)
 	n          int
 	epsK, epsC float64
-	bufs       sync.Pool // *efpaScratch
+	bufs       *sync.Pool // *efpaScratch
 }
 
 // efpaScratch holds one trial's exponential-mechanism weights, retained
@@ -101,13 +101,13 @@ func (EFPA) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, error)
 		scores[k-1] = -(trunc + noiseErr)
 	}
 	p := &efpaPlan{F: F, scores: scores, n: n, epsK: epsK, epsC: epsC}
-	p.bufs.New = func() any {
+	p.bufs = scratchPool(scratchKey{mech: "EFPA", sizes: [3]int{n}}, func() any {
 		return &efpaScratch{
 			weights: make([]float64, n),
 			kept:    make([]complex128, n),
 			inv:     make([]complex128, n),
 		}
-	}
+	})
 	return p, nil
 }
 

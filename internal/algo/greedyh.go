@@ -51,8 +51,8 @@ type greedyHPlan struct {
 	flat   *tree.Flat
 	data   []float64 // 1D data, or its Hilbert linearization in 2D
 	budget []float64
-	perm   []int     // 2D only: out[perm[d]] = est[d]
-	bufs   sync.Pool // 2D only: *[]float64 linearized estimate buffers
+	perm   []int      // 2D only: out[perm[d]] = est[d]
+	bufs   *sync.Pool // 2D only: *[]float64 linearized estimate buffers
 }
 
 // Plan implements Algorithm. The hierarchy, the canonical workload weights
@@ -94,7 +94,8 @@ func (g *GreedyH) Plan(x *vec.Vector, w *workload.Workload, eps float64) (Plan, 
 			flat: flat, data: lin, perm: perm,
 			budget: levelBudgetFromWeights(eps, flat.Height(), nil),
 		}
-		p.bufs.New = func() any { b := make([]float64, len(lin)); return &b }
+		n := len(lin)
+		p.bufs = scratchPool(scratchKey{mech: "GREEDY-H", sizes: [3]int{n}}, func() any { b := make([]float64, n); return &b })
 		return p, nil
 	default:
 		return nil, fmt.Errorf("greedyh: unsupported dimensionality %d", x.K())

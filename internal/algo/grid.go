@@ -215,13 +215,15 @@ type agridPlan struct {
 	eps1, eps2 float64
 	xb, yb     []int
 	totals     []float64
-	bufs       sync.Pool // *agridScratch per-trial working buffers
+	bufs       *sync.Pool // *agridScratch per-trial working buffers
 }
 
 // agridScratch recycles one trial's working buffers: the second-level
-// region counts and, under Rside, the per-trial coarse grid boundaries.
+// region counts, the boundaries of the second-level grid being measured
+// and, under Rside, the per-trial coarse grid boundaries.
 type agridScratch struct {
 	sub    []float64
+	sx, sy []int
 	xb, yb []int
 }
 
@@ -257,14 +259,16 @@ func (a *AGrid) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, er
 		// Rside: the layout is re-derived per trial, so the scratch must
 		// cover the worst case — one coarse cell spanning the whole domain
 		// and boundary slices at the maximum grid side.
-		p.bufs.New = func() any {
+		p.bufs = scratchPool(scratchKey{mech: "AGRID-rside", sizes: [3]int{nx, ny}}, func() any {
 			side := minInt(nx, ny) + 1
 			return &agridScratch{
 				sub: make([]float64, nx*ny),
+				sx:  make([]int, side),
+				sy:  make([]int, side),
 				xb:  make([]int, side),
 				yb:  make([]int, side),
 			}
-		}
+		})
 		return p, nil
 	}
 	p.eps1 = rho * eps
@@ -282,7 +286,11 @@ func (a *AGrid) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, er
 			}
 		}
 	}
-	p.bufs.New = func() any { return &agridScratch{sub: make([]float64, maxArea)} }
+	// A second-level grid has at most min(nx, ny) cells per side.
+	p.bufs = scratchPool(scratchKey{mech: "AGRID", sizes: [3]int{maxArea, nx, ny}}, func() any {
+		side := minInt(nx, ny) + 1
+		return &agridScratch{sub: make([]float64, maxArea), sx: make([]int, side), sy: make([]int, side)}
+	})
 	return p, nil
 }
 
@@ -335,7 +343,7 @@ func (p *agridPlan) Execute(m *noise.Meter, out []float64) error {
 			m2 = clampInt(m2, 1, minInt(x1-x0, y1-y0))
 			area := (x1 - x0) * (y1 - y0)
 			region := sub[:area]
-			measureRegion(m, "level2", p.data, p.nx, x0, y0, x1, y1, m2, m2, eps2, region)
+			measureRegion(m, "level2", p.data, p.nx, x0, y0, x1, y1, m2, m2, eps2, region, sc.sx, sc.sy)
 			// Consistency: rescale the level-2 cells to match level 1.
 			var subTotal float64
 			for _, v := range region {
@@ -391,8 +399,9 @@ func gridBounds(n, m int) []int {
 }
 
 // gridBoundsInto is gridBounds writing into dst's backing array, whose
-// capacity must be at least m+1: the Rside hot path re-derives the coarse
-// layout per trial and must not allocate.
+// capacity must be at least m+1: AGrid's hot path re-derives its
+// second-level grids (and, under Rside, the coarse layout) per trial and
+// must not allocate.
 func gridBoundsInto(dst []int, n, m int) []int {
 	if m > n {
 		m = n
@@ -439,11 +448,12 @@ func measureGrid(m *noise.Meter, label string, data []float64, nx, ny, x0, y0, x
 }
 
 // measureRegion is measureGrid writing into a region-local buffer sub of
-// width x1-x0.
-func measureRegion(m *noise.Meter, label string, data []float64, nx, x0, y0, x1, y1, mx, my int, eps float64, sub []float64) {
+// width x1-x0, with the grid boundaries laid into xbuf and ybuf (capacity
+// at least mx+1 and my+1).
+func measureRegion(m *noise.Meter, label string, data []float64, nx, x0, y0, x1, y1, mx, my int, eps float64, sub []float64, xbuf, ybuf []int) {
 	w := x1 - x0
-	xb := gridBounds(w, mx)
-	yb := gridBounds(y1-y0, my)
+	xb := gridBoundsInto(xbuf, w, mx)
+	yb := gridBoundsInto(ybuf, y1-y0, my)
 	for yi := 0; yi+1 < len(yb); yi++ {
 		for xi := 0; xi+1 < len(xb); xi++ {
 			gx0, gx1 := xb[xi], xb[xi+1]

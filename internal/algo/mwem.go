@@ -204,9 +204,9 @@ func (st *mwemState) materialize() {
 // exact raw total, which resets the incremental drift of total each round.
 func (st *mwemState) selectQuery(trueAns []float64, epsSelect float64, m *noise.Meter) int {
 	if st.seg != nil {
-		// Stream the tree's leaves straight into the evaluator's prefix
-		// table — the same accumulation Reset performs, minus one pass.
-		st.seg.PrefixTableInto(st.ev.Table1D())
+		// In 1D the weights live in the tree (est is stale), so the
+		// table is built straight from its leaves.
+		st.ev.Reset(st.seg.Leaves())
 	} else {
 		st.ev.Reset(st.est)
 	}
@@ -267,11 +267,8 @@ func (st *mwemState) selectQueryFast(trueAns []float64, epsSelect float64, m *no
 			}
 		}
 	} else {
+		st.ev.Reset(leaves)
 		tbl := st.ev.Table1D()
-		tbl[0] = 0
-		for i, x := range leaves {
-			tbl[i+1] = tbl[i] + x
-		}
 		for i := range gum {
 			if st.chosen[i] {
 				continue
@@ -357,10 +354,7 @@ func (st *mwemState) update(h measurement) {
 	mult := math.Exp(factor)
 	if twoD {
 		for y := y0; y <= y1; y++ {
-			row := est[y*nx+x0 : y*nx+x1+1]
-			for i := range row {
-				row[i] *= mult
-			}
+			scaleRow(est[y*nx+x0:y*nx+x1+1], mult)
 		}
 	} else {
 		row := est[lo0 : hi0+1]
@@ -382,6 +376,24 @@ func (st *mwemState) update(h measurement) {
 	}
 }
 
+// scaleRow multiplies every element of row by f, exactly once each. The
+// products are independent, so four per iteration keep the multiplier busy
+// with fewer loop branches and bounds checks; the results are the same bits
+// as a one-at-a-time loop.
+func scaleRow(row []float64, f float64) {
+	i := 0
+	for ; i+4 <= len(row); i += 4 {
+		r := row[i : i+4 : i+4]
+		r[0] *= f
+		r[1] *= f
+		r[2] *= f
+		r[3] *= f
+	}
+	for ; i < len(row); i++ {
+		row[i] *= f
+	}
+}
+
 // Run implements Algorithm.
 func (m *MWEM) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Rand) ([]float64, error) {
 	return runPlan(m, x, w, eps, rng)
@@ -400,31 +412,7 @@ type mwemPlan struct {
 	scale   float64
 	rounds  int // resolved at plan time when the scale is public
 	sweeps  int
-	states  *sync.Pool // *mwemState, shared across plans (see mwemStatePool)
-}
-
-// mwemStatePool returns the process-wide state pool for (w, n). A state is
-// ~dozens of n-sized buffers plus the segment tree; sharing the pool across
-// plans lets repeated Plan/Execute cycles (each benchmark Run builds a fresh
-// plan) recycle states instead of re-allocating and zeroing them every time.
-// Keying by workload pointer pins the workload, which is fine for the
-// benchmark's bounded workload set (same contract as levelWeightsCache); the
-// query count rides along so a workload grown after first use misses.
-var mwemStatePools sync.Map // mwemStateKey -> *sync.Pool
-
-type mwemStateKey struct {
-	w    *workload.Workload
-	n, q int
-}
-
-func mwemStatePool(w *workload.Workload, n int) *sync.Pool {
-	key := mwemStateKey{w: w, n: n, q: w.Size()}
-	if v, ok := mwemStatePools.Load(key); ok {
-		return v.(*sync.Pool)
-	}
-	p := &sync.Pool{New: func() any { return newMWEMState(w, n, 8, 1) }}
-	v, _ := mwemStatePools.LoadOrStore(key, p)
-	return v.(*sync.Pool)
+	states  *sync.Pool // *mwemState
 }
 
 // Plan implements Algorithm.
@@ -454,7 +442,15 @@ func (m *MWEM) Plan(x *vec.Vector, w *workload.Workload, eps float64) (Plan, err
 	if m.ScaleRho <= 0 {
 		p.rounds = m.resolveRounds(eps, p.scale, w)
 	}
-	p.states = mwemStatePool(w, p.n)
+	// The state embeds an evaluator for w, so its pool is keyed by the
+	// workload itself. That pins the workload, which is fine for the
+	// benchmark's bounded workload set (same contract as levelWeightsCache);
+	// the query count rides along so a workload grown after first use
+	// misses.
+	n := p.n
+	p.states = scratchPool(scratchKey{mech: "MWEM", w: w, sizes: [3]int{n, w.Size()}}, func() any {
+		return newMWEMState(w, n, 8, 1)
+	})
 	return p, nil
 }
 

@@ -24,7 +24,7 @@ type mulSegTree struct {
 	// multiplier (lazy != 1 at the node or any descendant). Materialization
 	// walks only dirty subtrees: between selection rounds MWEM's updates
 	// touch O(history * log n) nodes, so the full-tree push loop — formerly
-	// the dominant cost of PrefixTableInto — shrinks to the touched paths.
+	// the dominant cost of reading the leaves — shrinks to the touched paths.
 	// Every write that makes a lazy non-trivial marks the node and (via the
 	// descent paths) its ancestors, so a clean bit proves the subtree's
 	// leaves are final. Skipped pushes are all f == 1 no-ops, so the
@@ -251,17 +251,4 @@ func (t *mulSegTree) MaterializeInto(out []float64) {
 func (t *mulSegTree) Leaves() []float64 {
 	t.pushDirtyTree(1)
 	return t.sum[t.m : t.m+t.n]
-}
-
-// PrefixTableInto materializes the leaves directly into prefix-sum form
-// (table[0] = 0, table[i+1] = table[i] + leaf[i], len n+1) — the exact
-// accumulation workload.Evaluator.Reset performs — skipping the intermediate
-// estimate vector on MWEM's per-round selection path.
-func (t *mulSegTree) PrefixTableInto(table []float64) {
-	t.pushDirtyTree(1)
-	table[0] = 0
-	leaves := t.sum[t.m : t.m+t.n]
-	for i, x := range leaves {
-		table[i+1] = table[i] + x
-	}
 }

@@ -63,7 +63,7 @@ type phpPlan struct {
 	// than the divisions, so the legacy path keeps dividing and stays
 	// bit-identical; fast mode owns its stream (and goldens) anyway.
 	recip []float64
-	bufs  *sync.Pool // *phpScratch, shared across plans (see phpScratchPool)
+	bufs  *sync.Pool // *phpScratch
 }
 
 // recipCache memoizes the 1/k table per n — a pure function of n, read-only
@@ -80,22 +80,6 @@ func recipTable(n int) []float64 {
 	}
 	v, _ := recipCache.LoadOrStore(n, r)
 	return v.([]float64)
-}
-
-// phpScratchPools shares trial scratch across plans per domain size, so the
-// repeated Plan/Execute cycles of a benchmark cell recycle the score and
-// weight buffers instead of re-allocating them each Run.
-var phpScratchPools sync.Map // int -> *sync.Pool
-
-func phpScratchPool(n int) *sync.Pool {
-	if v, ok := phpScratchPools.Load(n); ok {
-		return v.(*sync.Pool)
-	}
-	p := &sync.Pool{New: func() any {
-		return &phpScratch{scores: make([]float64, n), expBuf: make([]float64, n)}
-	}}
-	v, _ := phpScratchPools.LoadOrStore(n, p)
-	return v.(*sync.Pool)
 }
 
 // Plan implements Algorithm.
@@ -121,7 +105,9 @@ func (p *PHP) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, erro
 		eps1: eps1, eps2: (1 - rho) * eps,
 		maxIter: maxIter, epsPerIter: eps1 / float64(maxIter),
 		recip: recipTable(n),
-		bufs:  phpScratchPool(n),
+		bufs: scratchPool(scratchKey{mech: "PHP", sizes: [3]int{n}}, func() any {
+			return &phpScratch{scores: make([]float64, n), expBuf: make([]float64, n)}
+		}),
 	}
 	return pl, nil
 }

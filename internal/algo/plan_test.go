@@ -1,7 +1,9 @@
 package algo
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -234,6 +236,128 @@ func TestSharedPlanConcurrentExecute(t *testing.T) {
 					if outs[g][i] != want[i] {
 						t.Fatalf("goroutine %d cell %d: %v != %v", g, i, outs[g][i], want[i])
 					}
+				}
+			}
+		})
+	}
+}
+
+// planPool returns the address of the scratch pool a plan draws from (its
+// bufs or states field), or 0 if it has none.
+func planPool(p Plan) uintptr {
+	v := reflect.ValueOf(p)
+	for v.Kind() == reflect.Interface || v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	for _, f := range []string{"bufs", "states"} {
+		if fv := v.FieldByName(f); fv.IsValid() && fv.Kind() == reflect.Pointer {
+			return fv.Pointer()
+		}
+	}
+	return 0
+}
+
+// TestCrossPlanSharedPools checks that the process-wide scratch pools leak
+// nothing between plans. For every pooled mechanism it builds two plans of
+// one shape, on different data and budgets, which therefore share one pool.
+// It records each plan's outputs serially, then executes both plans
+// interleaved from several goroutines (run under -race in CI). Every output
+// must equal the same plan's serial output bit for bit, whichever plan used
+// the scratch before.
+func TestCrossPlanSharedPools(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Algorithm // nil means New(name)
+		dims []int
+	}{
+		{"AHP", nil, []int{128}}, {"DAWA", nil, []int{128}}, {"DPCUBE", nil, []int{128}},
+		{"EFPA", nil, []int{128}}, {"MWEM", nil, []int{128}}, {"PHP", nil, []int{128}},
+		{"PRIVELET", nil, []int{128}}, {"SF", nil, []int{128}},
+		{"AGRID", nil, []int{32, 32}}, {"AGRID", &AGrid{C: 10, C2: 5, Rho: 0.5, ScaleRho: 0.05}, []int{32, 32}},
+		{"DAWA", nil, []int{32, 32}}, {"DPCUBE", nil, []int{32, 32}}, {"GREEDY-H", nil, []int{32, 32}},
+		{"HYBRIDTREE", nil, []int{32, 32}}, {"MWEM*", nil, []int{32, 32}}, {"PRIVELET", nil, []int{32, 32}},
+	}
+	const seeds, goroutines, reps = 3, 4, 2
+	for _, c := range cases {
+		a := c.cfg
+		if a == nil {
+			var err error
+			if a, err = New(c.name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sub := fmt.Sprintf("%dd/%s", len(c.dims), c.name)
+		if c.cfg != nil {
+			sub += "/Rside"
+		}
+		t.Run(sub, func(t *testing.T) {
+			// Plan B's data is four times plan A's on other cells, at a
+			// quarter of the budget, so both plans see the same eps*scale
+			// and size their scratch (AGrid's coarse layout) alike.
+			var xa, xb *vec.Vector
+			var w *workload.Workload
+			if len(c.dims) == 1 {
+				xa, xb = planVec1D(t, 21, c.dims[0]), planVec1D(t, 22, c.dims[0])
+				w = workload.Prefix(c.dims[0])
+			} else {
+				xa, xb = planVec2D(t, 21, c.dims[0]), planVec2D(t, 22, c.dims[0])
+				w = workload.RandomRange2D(c.dims[1], c.dims[0], 100, rand.New(rand.NewSource(23)))
+			}
+			for i := range xb.Data {
+				xb.Data[i] *= 4
+			}
+			epsA := 0.5
+			epsB := epsA * xa.Scale() / xb.Scale()
+			pa, err := a.Plan(xa, w, epsA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := a.Plan(xb, w, epsB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if planPool(pa) == 0 || planPool(pa) != planPool(pb) {
+				t.Fatalf("the two plans must share one scratch pool (got %#x and %#x)", planPool(pa), planPool(pb))
+			}
+			plans, eps := []Plan{pa, pb}, []float64{epsA, epsB}
+			n := xa.N()
+			run := func(k, seed int, out []float64) error {
+				rng := rand.New(rand.NewSource(int64(seed)*131 + int64(k)))
+				return plans[k].Execute(noise.NewMeter(eps[k], rng), out)
+			}
+			want := make([][]float64, 2*seeds)
+			for j := range want {
+				want[j] = make([]float64, n)
+				if err := run(j%2, j/2, want[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					out := make([]float64, n)
+					for r := 0; r < reps*len(want); r++ {
+						j := (r + g) % len(want) // each goroutine walks the cases from its own offset
+						if err := run(j%2, j/2, out); err != nil {
+							errs[g] = err
+							return
+						}
+						for i := range out {
+							if out[i] != want[j][i] {
+								errs[g] = fmt.Errorf("plan %c, seed %d, cell %d: %v, serial %v", 'A'+rune(j%2), j/2, i, out[i], want[j][i])
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
 				}
 			}
 		})

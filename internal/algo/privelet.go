@@ -70,9 +70,10 @@ func (Privelet) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, er
 			return nil, err
 		}
 		p := &priveletPlan1D{coeffs: c, n: x.N(), eps: eps}
-		p.bufs.New = func() any {
-			return &haarScratch{a: make([]float64, len(c)), b: make([]float64, len(c)), noisy: make([]float64, len(c))}
-		}
+		nc := len(c)
+		p.bufs = scratchPool(scratchKey{mech: "PRIVELET", sizes: [3]int{nc}}, func() any {
+			return &haarScratch{a: make([]float64, nc), b: make([]float64, nc), noisy: make([]float64, nc)}
+		})
 		return p, nil
 	case 2:
 		grid, err := priveletForward2D(x.Data, x.Dims[1], x.Dims[0])
@@ -82,13 +83,13 @@ func (Privelet) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, er
 		px := len(grid[0])
 		py := len(grid)
 		p := &priveletPlan2D{coeffs: grid, nx: x.Dims[1], ny: x.Dims[0], px: px, py: py, eps: eps}
-		p.bufs.New = func() any {
+		p.bufs = scratchPool(scratchKey{mech: "PRIVELET-2D", sizes: [3]int{px, py}}, func() any {
 			return &haar2DScratch{
 				grid: make([]float64, px*py),
 				col:  make([]float64, py), colOut: make([]float64, py), colTmp: make([]float64, py),
 				row: make([]float64, px), rowTmp: make([]float64, px),
 			}
-		}
+		})
 		return p, nil
 	default:
 		return nil, fmt.Errorf("privelet: unsupported dimensionality %d", x.K())
@@ -103,7 +104,7 @@ type priveletPlan1D struct {
 	coeffs []float64 // forward transform of the (padded) data
 	n      int
 	eps    float64
-	bufs   sync.Pool // *haarScratch
+	bufs   *sync.Pool // *haarScratch
 }
 
 //dp:hotpath
@@ -164,7 +165,7 @@ type priveletPlan2D struct {
 	coeffs         [][]float64
 	nx, ny, px, py int
 	eps            float64
-	bufs           sync.Pool // *haar2DScratch
+	bufs           *sync.Pool // *haar2DScratch
 }
 
 //dp:hotpath

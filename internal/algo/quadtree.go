@@ -107,7 +107,7 @@ type hybridPlan struct {
 	nx, ny             int
 	kd, h              int
 	perLevel, epsCount float64
-	bufs               sync.Pool // *hybridScratch
+	bufs               *sync.Pool // *hybridScratch
 }
 
 // hybridScratch is one trial's rebuildable state: the pre-order kd cut list,
@@ -155,9 +155,9 @@ func (t *HybridTree) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Pla
 		perLevel: epsStruct / float64(maxInt(kd, 1)), epsCount: epsCount,
 	}
 	side := maxInt(p.nx, p.ny)
-	p.bufs.New = func() any {
+	p.bufs = scratchPool(scratchKey{mech: "HYBRIDTREE", sizes: [3]int{side}}, func() any {
 		return &hybridScratch{marg: make([]float64, side), fsc: tree.NewScratch()}
-	}
+	})
 	return p, nil
 }
 

@@ -111,16 +111,9 @@ func TestFastSamplerGolden(t *testing.T) {
 var treeGoldenPath = filepath.Join("testdata", "sampler_legacy_tree_golden.json")
 
 // treeGoldenCases pins the legacy-sampler output of every mechanism that
-// runs through internal/tree, in each dimensionality it supports. Inside a
-// row, cfg overrides the registry default (nil means New(name)); the
+// runs through internal/tree, in each dimensionality it supports; the
 // shallow HybridTree truncates its quadtrees under the kd levels.
-var treeGoldenCases = []struct {
-	key  string
-	name string
-	cfg  Algorithm
-	dims []int
-	seed int64
-}{
+var treeGoldenCases = []legacyGoldenCase{
 	{"H/100", "H", nil, []int{100}, 13},
 	{"HB/100", "HB", nil, []int{100}, 17},
 	{"HB/24x40", "HB", nil, []int{24, 40}, 19},
@@ -135,13 +128,54 @@ var treeGoldenCases = []struct {
 	{"SF/100", "SF", nil, []int{100}, 59},
 }
 
+// legacyGoldenCase is one row of a legacy-sampler digest table. cfg
+// overrides the registry default (nil means New(name)).
+type legacyGoldenCase struct {
+	key  string
+	name string
+	cfg  Algorithm
+	dims []int
+	seed int64
+}
+
 // TestLegacyTreeMechanismGolden pins the legacy-sampler output of the tree
 // mechanisms bit for bit, the way TestFastSamplerGolden pins the fast
 // stream. Regenerate with UPDATE_SAMPLER_GOLDEN=1 only after an intentional
 // change to a mechanism's output.
 func TestLegacyTreeMechanismGolden(t *testing.T) {
+	checkLegacyGolden(t, treeGoldenPath, treeGoldenCases)
+}
+
+var partitionGoldenPath = filepath.Join("testdata", "sampler_legacy_partition_golden.json")
+
+// partitionGoldenCases pins the legacy-sampler output of the mechanisms
+// that partition a noisy 2D grid per trial: DPCube's kd split (1D intervals,
+// square grids up to the sweep's 128x128, and a wide grid whose splits
+// alternate axes) and AGrid in both its public-scale and its Rside layout.
+var partitionGoldenCases = []legacyGoldenCase{
+	{"DPCUBE/1000", "DPCUBE", nil, []int{1000}, 61},
+	{"DPCUBE/64x64", "DPCUBE", nil, []int{64, 64}, 67},
+	{"DPCUBE/128x128", "DPCUBE", nil, []int{128, 128}, 71},
+	{"DPCUBE/24x40", "DPCUBE", nil, []int{24, 40}, 73},
+	{"AGRID/64x64", "AGRID", nil, []int{64, 64}, 79},
+	{"AGRID/24x40", "AGRID", nil, []int{24, 40}, 83},
+	{"AGRID-rside/64x64", "AGRID", &AGrid{C: 10, C2: 5, Rho: 0.5, ScaleRho: 0.05}, []int{64, 64}, 89},
+}
+
+// TestLegacyPartitionMechanismGolden pins DPCube and AGrid bit for bit, so
+// a rewrite of their per-trial partitioning must reproduce every draw and
+// every floating-point reduction. Regenerate as TestLegacyTreeMechanismGolden.
+func TestLegacyPartitionMechanismGolden(t *testing.T) {
+	checkLegacyGolden(t, partitionGoldenPath, partitionGoldenCases)
+}
+
+// checkLegacyGolden runs every case at eps 0.5 on goldenVec data (the
+// Prefix workload in 1D) and compares the output digests with the golden
+// file at path, or rewrites the file under UPDATE_SAMPLER_GOLDEN.
+func checkLegacyGolden(t *testing.T, path string, cases []legacyGoldenCase) {
+	t.Helper()
 	got := map[string]string{}
-	for _, c := range treeGoldenCases {
+	for _, c := range cases {
 		a := c.cfg
 		if a == nil {
 			var err error
@@ -165,32 +199,32 @@ func TestLegacyTreeMechanismGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(treeGoldenPath, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", treeGoldenPath)
+		t.Logf("wrote %s", path)
 		return
 	}
-	blob, err := os.ReadFile(treeGoldenPath)
+	blob, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading tree-mechanism golden: %v", err)
+		t.Fatalf("reading legacy golden %s: %v", path, err)
 	}
 	want := map[string]string{}
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(treeGoldenCases) {
-		t.Errorf("golden holds %d digests, table has %d rows", len(want), len(treeGoldenCases))
+	if len(want) != len(cases) {
+		t.Errorf("golden holds %d digests, table has %d rows", len(want), len(cases))
 	}
-	for _, c := range treeGoldenCases {
+	for _, c := range cases {
 		if got[c.key] != want[c.key] {
 			t.Errorf("%s legacy digest %s, golden %s — the mechanism's output changed", c.key, got[c.key], want[c.key])
 		}
 	}
 }
 
-// TestFastSamplerReproducible guards the pooled plan state (mwemStatePools,
-// phpScratchPools) against cross-execution leakage: two fast executions of
+// TestFastSamplerReproducible guards the pooled plan state (MWEM's and PHP's
+// shared scratch pools) against cross-execution leakage: two fast executions of
 // the same plan on the same seed must be bit-identical even though they reuse
 // pooled scratch.
 func TestFastSamplerReproducible(t *testing.T) {

@@ -73,8 +73,8 @@ type sfPlan struct {
 	n, k       int
 	eps        float64
 	scale      float64
-	eps1, eps2 float64   // resolved at plan time when the scale is public
-	bufs       sync.Pool // *sfScratch
+	eps1, eps2 float64    // resolved at plan time when the scale is public
+	bufs       *sync.Pool // *sfScratch
 }
 
 // sfScratch is one trial's selection and measurement state, including the
@@ -126,7 +126,7 @@ func (s *SF) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, error
 	if s.ScaleRho <= 0 {
 		p.eps1, p.eps2 = sfBudgetSplit(rho, eps, k)
 	}
-	p.bufs.New = func() any {
+	p.bufs = scratchPool(scratchKey{mech: "SF", sizes: [3]int{n, k}}, func() any {
 		return &sfScratch{
 			bounds: make([]int, 0, k+1),
 			scores: make([]float64, n),
@@ -134,7 +134,7 @@ func (s *SF) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, error
 			budget: make([]float64, 0, 64),
 			fsc:    tree.NewScratch(),
 		}
-	}
+	})
 	return p, nil
 }
 

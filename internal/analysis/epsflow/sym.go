@@ -55,25 +55,28 @@ func encodeMono(exps map[int]int) mono {
 		}
 	}
 	sort.Ints(ids)
-	var b strings.Builder
+	var b []byte
 	for i, id := range ids {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d^%d", id, exps[id])
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, '^')
+		b = strconv.AppendInt(b, int64(exps[id]), 10)
 	}
-	return mono(b.String())
+	return mono(b)
 }
 
+// decodeMono parses encodeMono's "id^e,id^e" form.
 func decodeMono(m mono) map[int]int {
 	exps := map[int]int{}
-	if m == "" {
-		return exps
-	}
-	for _, part := range strings.Split(string(m), ",") {
-		var id, e int
-		fmt.Sscanf(part, "%d^%d", &id, &e)
-		exps[id] = e
+	for s := string(m); s != ""; {
+		part, rest, _ := strings.Cut(s, ",")
+		id, e, _ := strings.Cut(part, "^")
+		i, _ := strconv.Atoi(id)
+		n, _ := strconv.Atoi(e)
+		exps[i] = n
+		s = rest
 	}
 	return exps
 }
@@ -204,24 +207,30 @@ func polyScale(a poly, c *big.Rat) poly {
 
 func polyEqual(a, b poly) bool { return polySub(a, b).isZero() }
 
-// monos returns the monomials in canonical (lexicographic key) order.
+// monos returns the monomials in canonical order, total degree descending
+// and then key, which gives a deterministic leading term for division and
+// rendering.
 func (p poly) monos() []mono {
-	out := make([]mono, 0, len(p))
+	type keyed struct {
+		m   mono
+		deg int
+	}
+	ks := make([]keyed, 0, len(p))
 	for m := range p {
-		out = append(out, m)
+		ks = append(ks, keyed{m, monoDeg(m)})
 	}
-	sort.Slice(out, func(i, j int) bool { return monoLess(out[i], out[j]) })
+	// Each degree is decoded once, not once per comparison.
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].deg != ks[j].deg {
+			return ks[i].deg > ks[j].deg
+		}
+		return ks[i].m < ks[j].m
+	})
+	out := make([]mono, len(ks))
+	for i, k := range ks {
+		out[i] = k.m
+	}
 	return out
-}
-
-// monoLess orders by total degree then key, giving a deterministic leading
-// term for division and rendering.
-func monoLess(a, b mono) bool {
-	da, db := monoDeg(a), monoDeg(b)
-	if da != db {
-		return da > db
-	}
-	return a < b
 }
 
 func monoDeg(m mono) int {

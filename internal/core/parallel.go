@@ -172,18 +172,25 @@ func RunParallel(ctx context.Context, cfg Config, workers int) ([]AlgResult, err
 		return nil, err
 	}
 
-	// Phase 2: fan out all cells. Cell c decodes to (s, t, i) in the serial
-	// loop order; its result lands in results[i].Errors[s*trials+t]. Each
-	// worker keeps a private scratch arena for the whole phase — no pool
+	// Phase 2: fan out all cells, algorithm-major: cell c decodes to
+	// algorithm i = c / (samples*trials), then sample s and trial t in
+	// the serial loop's order. A mechanism's cells thus sit next to each
+	// other in the queue, so the trials of a slow mechanism (MWEM* at
+	// scale 1e7 takes several times any other) start together on
+	// different workers instead of one queue-length apart, where the
+	// last of them would run alone at the end of the cell. The schedule
+	// moves only when work starts: every cell keeps its own RNG stream
+	// and its result lands in results[i].Errors[s*trials+t]. Each worker
+	// keeps a private scratch arena for the whole phase — no pool
 	// traffic, no contention; the scratch never influences results, only
 	// where intermediates are stored.
 	results := newResults(cfg, p)
 	arenas := make([]*evalScratch, workers)
-	perSample := p.trials * nalgs
-	err = parallelForWorkers(ctx, workers, p.samples*perSample, func(worker, c int) error {
-		s := c / perSample
-		t := (c % perSample) / nalgs
-		i := c % nalgs
+	perAlg := p.samples * p.trials
+	err = parallelForWorkers(ctx, workers, nalgs*perAlg, func(worker, c int) error {
+		i := c / perAlg
+		s := (c % perAlg) / p.trials
+		t := c % p.trials
 		sc := arenas[worker]
 		if sc == nil {
 			sc = newEvalScratch(cfg.Workload)

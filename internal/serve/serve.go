@@ -579,27 +579,12 @@ func answerQueries(req *QueryRequest, dims []int, sc *queryScratch) []float64 {
 
 // fillAnswerTable rebuilds the prefix sums (1D) or the summed-area table
 // (2D) of the released estimate into the pooled scratch. This is the
-// domain-sized piece of per-request answering and must not allocate.
+// domain-sized piece of per-request answering and must not allocate. Row 0
+// and column 0 of the table stay zero from construction.
 //
 //dp:hotpath
 func fillAnswerTable(dims []int, sc *queryScratch) {
-	if len(dims) == 1 {
-		table := sc.table // len n+1; table[0] == 0 from construction
-		for i, v := range sc.est {
-			table[i+1] = table[i] + v
-		}
-		return
-	}
-	ny, nx := dims[0], dims[1]
-	stride := nx + 1
-	sat := sc.table // row 0 and column 0 stay zero from construction
-	for y := 0; y < ny; y++ {
-		row := sat[(y+1)*stride:]
-		prev := sat[y*stride:]
-		for x := 0; x < nx; x++ {
-			row[x+1] = sc.est[y*nx+x] + prev[x+1] + row[x] - prev[x]
-		}
-	}
+	workload.FillTable(sc.table, sc.est, dims)
 }
 
 // validateQueries checks the request's queries against the cell's domain, so

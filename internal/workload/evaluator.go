@@ -43,29 +43,47 @@ func (e *Evaluator) Workload() *Workload { return e.w }
 func (e *Evaluator) Reset(data []float64) {
 	switch len(e.w.Dims) {
 	case 1:
-		n := e.w.Dims[0]
-		if len(data) != n {
+		if n := e.w.Dims[0]; len(data) != n {
 			panic(fmt.Sprintf("workload: estimate length %d does not match domain %d", len(data), n))
 		}
-		table := e.table
-		for i, x := range data {
-			table[i+1] = table[i] + x
-		}
 	case 2:
-		ny, nx := e.w.Dims[0], e.w.Dims[1]
-		if len(data) != nx*ny {
+		if ny, nx := e.w.Dims[0], e.w.Dims[1]; len(data) != nx*ny {
 			panic(fmt.Sprintf("workload: estimate length %d does not match domain %dx%d", len(data), ny, nx))
 		}
-		// Summed-area table: table[y*(nx+1)+x] = sum of cells with row < y,
-		// col < x. Row 0 and column 0 stay zero from construction.
-		sat := e.table
-		stride := nx + 1
-		for y := 0; y < ny; y++ {
-			row := sat[(y+1)*stride:]
-			prev := sat[y*stride:]
-			for x := 0; x < nx; x++ {
-				row[x+1] = data[y*nx+x] + prev[x+1] + row[x] - prev[x]
-			}
+	}
+	FillTable(e.table, data, e.w.Dims)
+}
+
+// FillTable writes the answer table of data over dims into table without
+// allocating. In 1D (table of length n+1) it is the prefix sums,
+// table[i+1] = table[i] + data[i]. In 2D (dims {ny, nx}, table of length
+// (ny+1)*(nx+1)) it is the summed-area table: table[y*(nx+1)+x] is the sum
+// of the cells with row < y and column < x. Row 0 and column 0 of the table
+// must be zero, as a fresh table is; FillTable never writes them.
+//
+// Each entry is rounded exactly as the textbook recurrences
+// table[i] + data[i] and data + above + left - aboveLeft (left to right)
+// round it. The running value of the current row is kept in a register
+// instead of being read back from the entry just stored.
+func FillTable(table, data []float64, dims []int) {
+	if len(dims) == 1 {
+		var acc float64
+		for i, v := range data {
+			acc += v
+			table[i+1] = acc
+		}
+		return
+	}
+	ny, nx := dims[0], dims[1]
+	stride := nx + 1
+	for y := 0; y < ny; y++ {
+		prev := table[y*stride : (y+1)*stride]
+		row := table[(y+1)*stride : (y+2)*stride]
+		src := data[y*nx : (y+1)*nx]
+		var acc float64 // row[0]
+		for x, v := range src {
+			acc = v + prev[x+1] + acc - prev[x]
+			row[x+1] = acc
 		}
 	}
 }
@@ -74,12 +92,9 @@ func (e *Evaluator) Reset(data []float64) {
 // full-domain prefix entry), at no extra cost.
 func (e *Evaluator) Total() float64 { return e.table[len(e.table)-1] }
 
-// Table1D exposes the evaluator's internal prefix table (len n+1) so an
-// advanced caller can fill it directly — table[0] = 0, table[i+1] =
-// table[i] + est[i] — instead of materializing an estimate vector and paying
-// Reset's extra pass (MWEM streams its segment-tree leaves straight into
-// prefix form this way). After filling, the evaluator answers exactly as if
-// Reset(est) had run. It panics on 2D evaluators, whose table is a
+// Table1D exposes the evaluator's prefix table (len n+1, table[i] = sum of
+// the first i cells of the last Reset estimate), so a hot loop can read
+// range sums from it directly. It panics on 2D evaluators, whose table is a
 // summed-area layout.
 func (e *Evaluator) Table1D() []float64 {
 	if len(e.w.Dims) != 1 {

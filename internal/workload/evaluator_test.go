@@ -206,3 +206,18 @@ func TestEvaluateRejectsUnsupportedDimensionality(t *testing.T) {
 		t.Fatal("expected unsupported-dimensionality error, not a panic or nil")
 	}
 }
+
+// BenchmarkEvaluatorReset2D rebuilds the summed-area table of the sweep's
+// 128x128 domain, the table core's per-trial scoring and every 2D MWEM
+// round rebuild.
+func BenchmarkEvaluatorReset2D(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	w := RandomRange2D(128, 128, 2000, rng)
+	data := randomData(rng, 128*128)
+	ev := NewEvaluator(w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Reset(data)
+	}
+}
