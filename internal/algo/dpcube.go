@@ -45,7 +45,8 @@ func (d *DPCube) Run(x *vec.Vector, w *workload.Workload, eps float64, rng *rand
 // histogram and partition buffers recycled across trials.
 type dpcubePlan struct {
 	data       []float64
-	nx, ny     int // ny == 1 in 1D
+	nx, ny     int  // ny == 1 in 1D
+	twoD       bool // a 2D grid splits as one even when it has a single row
 	minCells   int
 	eps1, eps2 float64
 	bufs       *sync.Pool // *dpcubeScratch
@@ -78,7 +79,7 @@ func (d *DPCube) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, e
 		ny = x.Dims[0]
 	}
 	p := &dpcubePlan{
-		data: x.Data, nx: nx, ny: ny, minCells: minCells,
+		data: x.Data, nx: nx, ny: ny, twoD: len(x.Dims) == 2, minCells: minCells,
 		eps1: rho * eps, eps2: (1 - rho) * eps,
 	}
 	p.bufs = scratchPool(scratchKey{mech: "DPCUBE", sizes: [3]int{nx, ny}}, func() any {
@@ -105,10 +106,10 @@ func (p *dpcubePlan) Execute(m *noise.Meter, out []float64) error {
 	// uniformity bias); per-cell estimates carry 2/eps1^2.
 	nx := p.nx
 	whole := kdRect{0, 0, nx, p.ny}
-	if p.ny == 1 {
-		sc.parts = kdSplit1D(noisy, whole, p.minCells, 1/p.eps1, sc.parts[:0])
-	} else {
+	if p.twoD {
 		sc.parts = kdSplit2D(noisy, nx, whole, p.minCells, 1/p.eps1, sc.marg, sc.parts[:0])
+	} else {
+		sc.parts = kdSplit1D(noisy, whole, p.minCells, 1/p.eps1, sc.parts[:0])
 	}
 	for _, r := range sc.parts {
 		// Row-major within the partition: the order of the sum is part of
@@ -156,7 +157,7 @@ func (r kdRect) area() int { return (r.x1 - r.x0) * (r.y1 - r.y0) }
 // in left-to-right order.
 func kdSplit1D(noisy []float64, r kdRect, minCells int, noiseUnit float64, parts []kdRect) []kdRect {
 	lo, hi := r.x0, r.x1
-	if hi-lo <= 1 || stopSplitting(noisy[lo:hi], minCells, noiseUnit) {
+	if hi-lo <= 1 || stopSplitting(noisy, len(noisy), r, minCells, noiseUnit) {
 		return append(parts, r)
 	}
 	mid := massMedian(noisy, lo, hi)
@@ -174,7 +175,7 @@ func kdSplit1D(noisy []float64, r kdRect, minCells int, noiseUnit float64, parts
 // marg (at least max(width, height) long) holds the marginal of the node
 // being split and is free again once its cut is chosen.
 func kdSplit2D(noisy []float64, nx int, r kdRect, minCells int, noiseUnit float64, marg []float64, parts []kdRect) []kdRect {
-	if r.area() <= 1 || stopSplittingRect(noisy, nx, r, minCells, noiseUnit) {
+	if r.area() <= 1 || stopSplitting(noisy, nx, r, minCells, noiseUnit) {
 		return append(parts, r)
 	}
 	w, h := r.x1-r.x0, r.y1-r.y0
@@ -212,53 +213,31 @@ func kdSplit2D(noisy []float64, nx int, r kdRect, minCells int, noiseUnit float6
 	return kdSplit2D(noisy, nx, kdRect{r.x0, cut, r.x1, r.y1}, minCells, noiseUnit, marg, parts)
 }
 
-// stopSplitting reports whether a partition with the given values should
-// become a leaf: its value spread is small relative to the Laplace noise (so
-// splitting cannot pay off), with a stricter bar below the MinCells size so
-// small partitions only keep splitting when the non-uniformity clearly
-// exceeds the noise floor. As the budget grows the noise unit vanishes and
-// any real non-uniformity keeps splitting, which is what makes DPCube
-// consistent (Theorem 3).
-func stopSplitting(vals []float64, minCells int, noiseUnit float64) bool {
-	if len(vals) <= 1 {
-		return true
-	}
-	lo, hi := widenRange(vals, vals[0], vals[0])
-	return hi-lo <= splitThreshold(len(vals), minCells, noiseUnit)
-}
-
-// stopSplittingRect is stopSplitting for the rectangle r of the noisy grid
-// (row stride nx), read in place row by row.
-func stopSplittingRect(noisy []float64, nx int, r kdRect, minCells int, noiseUnit float64) bool {
+// stopSplitting reports whether the rectangle r of the noisy grid (row
+// stride nx, read in place row by row) should become a leaf: its value
+// spread is small relative to the Laplace noise (so splitting cannot pay
+// off), with a stricter bar below the MinCells size so small partitions only
+// keep splitting when the non-uniformity clearly exceeds the noise floor. As
+// the budget grows the noise unit vanishes and any real non-uniformity keeps
+// splitting, which is what makes DPCube consistent (Theorem 3).
+func stopSplitting(noisy []float64, nx int, r kdRect, minCells int, noiseUnit float64) bool {
 	lo := noisy[r.y0*nx+r.x0]
 	hi := lo
 	for y := r.y0; y < r.y1; y++ {
-		lo, hi = widenRange(noisy[y*nx+r.x0:y*nx+r.x1], lo, hi)
-	}
-	return hi-lo <= splitThreshold(r.area(), minCells, noiseUnit)
-}
-
-// widenRange returns the smallest [lo, hi] that holds the given one and
-// every value of vals.
-func widenRange(vals []float64, lo, hi float64) (float64, float64) {
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
+		for _, v := range noisy[y*nx+r.x0 : y*nx+r.x1] {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
 		}
 	}
-	return lo, hi
-}
-
-// splitThreshold is the largest value spread at which a partition of the
-// given size stops splitting.
-func splitThreshold(size, minCells int, noiseUnit float64) float64 {
-	if size <= minCells {
-		return 8 * noiseUnit
+	threshold := 4 * noiseUnit
+	if r.area() <= minCells {
+		threshold = 8 * noiseUnit
 	}
-	return 4 * noiseUnit
+	return hi-lo <= threshold
 }
 
 // massMedian returns the index m in (lo, hi) splitting the positive mass of

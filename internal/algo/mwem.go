@@ -354,7 +354,10 @@ func (st *mwemState) update(h measurement) {
 	mult := math.Exp(factor)
 	if twoD {
 		for y := y0; y <= y1; y++ {
-			scaleRow(est[y*nx+x0:y*nx+x1+1], mult)
+			row := est[y*nx+x0 : y*nx+x1+1]
+			for i := range row {
+				row[i] *= mult
+			}
 		}
 	} else {
 		row := est[lo0 : hi0+1]
@@ -373,24 +376,6 @@ func (st *mwemState) update(h measurement) {
 	// multiplicative steps accumulate before the scalar is applied.
 	if st.total > 1e280 || (st.total > 0 && st.total < 1e-280) {
 		st.materialize()
-	}
-}
-
-// scaleRow multiplies every element of row by f, exactly once each. The
-// products are independent, so four per iteration keep the multiplier busy
-// with fewer loop branches and bounds checks; the results are the same bits
-// as a one-at-a-time loop.
-func scaleRow(row []float64, f float64) {
-	i := 0
-	for ; i+4 <= len(row); i += 4 {
-		r := row[i : i+4 : i+4]
-		r[0] *= f
-		r[1] *= f
-		r[2] *= f
-		r[3] *= f
-	}
-	for ; i < len(row); i++ {
-		row[i] *= f
 	}
 }
 

@@ -150,13 +150,16 @@ var partitionGoldenPath = filepath.Join("testdata", "sampler_legacy_partition_go
 
 // partitionGoldenCases pins the legacy-sampler output of the mechanisms
 // that partition a noisy 2D grid per trial: DPCube's kd split (1D intervals,
-// square grids up to the sweep's 128x128, and a wide grid whose splits
-// alternate axes) and AGrid in both its public-scale and its Rside layout.
+// a one-row grid, which splits as 2D and so cuts differently from 1D when a
+// node's mass sits in its last cell, square grids up to the sweep's 128x128,
+// and a wide grid whose splits alternate axes) and AGrid in both its
+// public-scale and its Rside layout.
 var partitionGoldenCases = []legacyGoldenCase{
 	{"DPCUBE/1000", "DPCUBE", nil, []int{1000}, 61},
 	{"DPCUBE/64x64", "DPCUBE", nil, []int{64, 64}, 67},
 	{"DPCUBE/128x128", "DPCUBE", nil, []int{128, 128}, 71},
 	{"DPCUBE/24x40", "DPCUBE", nil, []int{24, 40}, 73},
+	{"DPCUBE/1x40", "DPCUBE", nil, []int{1, 40}, 97},
 	{"AGRID/64x64", "AGRID", nil, []int{64, 64}, 79},
 	{"AGRID/24x40", "AGRID", nil, []int{24, 40}, 83},
 	{"AGRID-rside/64x64", "AGRID", &AGrid{C: 10, C2: 5, Rho: 0.5, ScaleRho: 0.05}, []int{64, 64}, 89},
