@@ -239,20 +239,13 @@ func runServe(args []string) int {
 		keyBudget   = fs.Float64("key-budget", 1.0, "total epsilon each API key may spend")
 		totalBudget = fs.Float64("total-budget", 0, "total epsilon spendable per dataset across all keys (0 = 10x key-budget)")
 		allowSeeded = fs.Bool("allow-seeded-queries", false, "accept client-pinned noise seeds (test/replay only: seeded releases are denoisable)")
-		sampler     = fs.String("sampler", "legacy", "noise-sampler family: legacy (reference) or fast (table-accelerated)")
 		ledgerPath  = fs.String("ledger", "", "path of the durable budget ledger WAL; empty keeps accounting in-memory")
-		audit       = fs.Bool("audit", false, "retain full per-spend accountant history (memory grows per request; off keeps O(1) totals)")
 	)
 	fs.Parse(args)
 
 	epsilons, err := parseFloats(*epsList)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-eps: %v\n", err)
-		return 2
-	}
-	samplerV, err := release.ParseSampler(*sampler)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-sampler: %v\n", err)
 		return 2
 	}
 	srv, err := serve.New(serve.Config{
@@ -266,9 +259,7 @@ func runServe(args []string) int {
 		KeyBudget:          *keyBudget,
 		TotalBudget:        *totalBudget,
 		AllowSeededQueries: *allowSeeded,
-		Sampler:            samplerV,
 		LedgerPath:         *ledgerPath,
-		Audit:              *audit,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)

@@ -65,10 +65,10 @@
 // call math.Log per Laplace draw and math.Exp per exponential-mechanism
 // score, and their exact stream is what every golden output, CLI diff and
 // recorded figure pins — so the default never changes. The fast samplers
-// (release.WithSampler(release.SamplerFast), the CLI's -sampler=fast flag,
-// the serve roster's Sampler field) replace the per-draw transcendentals
-// with table-accelerated inverse-CDF evaluation, batched vector draws, and a
-// Gumbel-max top-1 exponential-mechanism selection. They sample the
+// (release.WithSampler(release.SamplerFast), the CLI's -sampler=fast flag)
+// replace the per-draw transcendentals with table-accelerated inverse-CDF
+// evaluation, batched vector draws, and a Gumbel-max top-1
+// exponential-mechanism selection. They sample the
 // identical distributions — pinned by fixed-seed Kolmogorov–Smirnov,
 // chi-square and selection-frequency tests plus their own output goldens —
 // but draw a different stream, so selecting them is always an explicit,

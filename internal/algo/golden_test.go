@@ -519,7 +519,9 @@ func TestMWEMUpdatePathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newMWEMState(w, n, 8, x.Scale())
+	st := newMWEMState(w.Dims, w.Size(), 8)
+	st.bind(w, workload.IsPrefix(w))
+	st.reset(x.Scale())
 	// Seed a history the replay sweeps over.
 	for i := 0; i < 8; i++ {
 		st.hist = append(st.hist, measurement{query: (i * 97) % n, value: trueAns[(i*97)%n] + float64(i)})

@@ -3,6 +3,7 @@ package algo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"dpbench/internal/noise"
@@ -105,7 +106,7 @@ type measurement struct {
 // floating-point rounding only, at the ~1e-12 relative level (see the golden
 // tests, which pin the optimized output to the reference implementation).
 type mwemState struct {
-	w      *workload.Workload
+	w      *workload.Workload // the plan's workload, set by bind
 	ev     *workload.Evaluator
 	est    []float64 // raw multiplicative weights; true estimate = est * norm
 	norm   float64   // deferred renormalization scalar
@@ -129,11 +130,16 @@ type mwemState struct {
 	prefixW bool
 }
 
-func newMWEMState(w *workload.Workload, n, rounds int, scale float64) *mwemState {
-	q := w.Size()
+// newMWEMState allocates the state for workloads of q queries over dims. It
+// reads sizes only: states are pooled by shape, and bind points one at a
+// plan's workload before each trial.
+func newMWEMState(dims []int, q, rounds int) *mwemState {
+	n := dims[0]
+	if len(dims) == 2 {
+		n *= dims[1]
+	}
 	st := &mwemState{
-		w:      w,
-		ev:     workload.NewEvaluator(w),
+		ev:     workload.NewEvaluator(&workload.Workload{Dims: dims}),
 		est:    make([]float64, n),
 		estAns: make([]float64, q),
 		scores: make([]float64, q),
@@ -141,17 +147,18 @@ func newMWEMState(w *workload.Workload, n, rounds int, scale float64) *mwemState
 		chosen: make([]bool, q),
 		hist:   make([]measurement, 0, rounds),
 	}
-	if len(w.Dims) == 1 {
+	if len(dims) == 1 {
 		st.seg = newMulSegTree(n)
-		st.prefixW = q == n
-		for k := 0; st.prefixW && k < n; k++ {
-			if lo, hi := w.Range(k); lo != 0 || hi != k {
-				st.prefixW = false
-			}
-		}
 	}
-	st.reset(scale)
 	return st
+}
+
+// bind points the state at a workload of the shape it was built for. It is
+// O(1) and allocates nothing.
+func (st *mwemState) bind(w *workload.Workload, prefixW bool) {
+	st.w = w
+	st.ev.Bind(w)
+	st.prefixW = prefixW
 }
 
 // reset re-initializes a (possibly recycled) state for a fresh trial at the
@@ -392,6 +399,7 @@ type mwemPlan struct {
 	m       *MWEM
 	w       *workload.Workload
 	trueAns []float64
+	prefixW bool // workload.IsPrefix(w)
 	n       int
 	eps     float64
 	scale   float64
@@ -417,7 +425,7 @@ func (m *MWEM) Plan(x *vec.Vector, w *workload.Workload, eps float64) (Plan, err
 		return nil, err
 	}
 	p := &mwemPlan{
-		m: m, w: w, trueAns: trueAns, n: x.N(),
+		m: m, w: w, trueAns: trueAns, prefixW: workload.IsPrefix(w), n: x.N(),
 		eps: eps, sweeps: sweeps,
 		// Pside: the dataset scale is declared public side information
 		// (HayMMCZ16 Principle 7). Rside (ScaleRho > 0) ignores this value
@@ -427,15 +435,14 @@ func (m *MWEM) Plan(x *vec.Vector, w *workload.Workload, eps float64) (Plan, err
 	if m.ScaleRho <= 0 {
 		p.rounds = m.resolveRounds(eps, p.scale, w)
 	}
-	// The state embeds an evaluator for w, so its pool is keyed by the
-	// workload itself. That pins the workload, which is fine for the
-	// benchmark's bounded workload set (same contract as levelWeightsCache);
-	// the query count rides along so a workload grown after first use
-	// misses.
-	n := p.n
-	p.states = scratchPool(scratchKey{mech: "MWEM", w: w, sizes: [3]int{n, w.Size()}}, func() any {
-		return newMWEMState(w, n, 8, 1)
-	})
+	// The state is pooled by shape, the domain and the query count, as every
+	// other mechanism's scratch is; Execute binds it to w.
+	dims, q := slices.Clone(w.Dims), w.Size()
+	key := scratchKey{mech: "MWEM", sizes: [3]int{dims[0], 0, q}}
+	if len(dims) == 2 {
+		key.sizes[1] = dims[1]
+	}
+	p.states = scratchPool(key, func() any { return newMWEMState(dims, q, 8) })
 	return p, nil
 }
 
@@ -475,6 +482,7 @@ func (p *mwemPlan) Execute(mt *noise.Meter, out []float64) error {
 
 	st := p.states.Get().(*mwemState)
 	defer p.states.Put(st)
+	st.bind(p.w, p.prefixW)
 	st.reset(scale)
 	epsRound := epsLeft / float64(rounds)
 

@@ -259,23 +259,26 @@ func planPool(p Plan) uintptr {
 
 // TestCrossPlanSharedPools checks that the process-wide scratch pools leak
 // nothing between plans. For every pooled mechanism it builds two plans of
-// one shape, on different data and budgets, which therefore share one pool.
-// It records each plan's outputs serially, then executes both plans
-// interleaved from several goroutines (run under -race in CI). Every output
-// must equal the same plan's serial output bit for bit, whichever plan used
-// the scratch before.
+// one shape, on different data and budgets, which therefore share one pool;
+// the MWEM rows marked otherW also give the two plans different workloads
+// of one shape. It records each plan's outputs serially, then executes both
+// plans interleaved from several goroutines (run under -race in CI). Every
+// output must equal the same plan's serial output bit for bit, whichever
+// plan used the scratch before.
 func TestCrossPlanSharedPools(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  Algorithm // nil means New(name)
-		dims []int
+		name   string
+		cfg    Algorithm // nil means New(name)
+		dims   []int
+		otherW bool // plan B runs over another workload of the same shape
 	}{
-		{"AHP", nil, []int{128}}, {"DAWA", nil, []int{128}}, {"DPCUBE", nil, []int{128}},
-		{"EFPA", nil, []int{128}}, {"MWEM", nil, []int{128}}, {"PHP", nil, []int{128}},
-		{"PRIVELET", nil, []int{128}}, {"SF", nil, []int{128}},
-		{"AGRID", nil, []int{32, 32}}, {"AGRID", &AGrid{C: 10, C2: 5, Rho: 0.5, ScaleRho: 0.05}, []int{32, 32}},
-		{"DAWA", nil, []int{32, 32}}, {"DPCUBE", nil, []int{32, 32}}, {"GREEDY-H", nil, []int{32, 32}},
-		{"HYBRIDTREE", nil, []int{32, 32}}, {"MWEM*", nil, []int{32, 32}}, {"PRIVELET", nil, []int{32, 32}},
+		{"AHP", nil, []int{128}, false}, {"DAWA", nil, []int{128}, false}, {"DPCUBE", nil, []int{128}, false},
+		{"EFPA", nil, []int{128}, false}, {"MWEM", nil, []int{128}, false}, {"PHP", nil, []int{128}, false},
+		{"PRIVELET", nil, []int{128}, false}, {"SF", nil, []int{128}, false}, {"MWEM", nil, []int{128}, true},
+		{"AGRID", nil, []int{32, 32}, false}, {"AGRID", &AGrid{C: 10, C2: 5, Rho: 0.5, ScaleRho: 0.05}, []int{32, 32}, false},
+		{"DAWA", nil, []int{32, 32}, false}, {"DPCUBE", nil, []int{32, 32}, false}, {"GREEDY-H", nil, []int{32, 32}, false},
+		{"HYBRIDTREE", nil, []int{32, 32}, false}, {"MWEM*", nil, []int{32, 32}, false}, {"PRIVELET", nil, []int{32, 32}, false},
+		{"MWEM*", nil, []int{32, 32}, true},
 	}
 	const seeds, goroutines, reps = 3, 4, 2
 	for _, c := range cases {
@@ -290,18 +293,26 @@ func TestCrossPlanSharedPools(t *testing.T) {
 		if c.cfg != nil {
 			sub += "/Rside"
 		}
+		if c.otherW {
+			sub += "/other-workload"
+		}
 		t.Run(sub, func(t *testing.T) {
 			// Plan B's data is four times plan A's on other cells, at a
 			// quarter of the budget, so both plans see the same eps*scale
 			// and size their scratch (AGrid's coarse layout) alike.
 			var xa, xb *vec.Vector
-			var w *workload.Workload
+			var w, wb *workload.Workload
 			if len(c.dims) == 1 {
 				xa, xb = planVec1D(t, 21, c.dims[0]), planVec1D(t, 22, c.dims[0])
 				w = workload.Prefix(c.dims[0])
+				wb = workload.RandomRange(c.dims[0], c.dims[0], rand.New(rand.NewSource(24)))
 			} else {
 				xa, xb = planVec2D(t, 21, c.dims[0]), planVec2D(t, 22, c.dims[0])
 				w = workload.RandomRange2D(c.dims[1], c.dims[0], 100, rand.New(rand.NewSource(23)))
+				wb = workload.RandomRange2D(c.dims[1], c.dims[0], 100, rand.New(rand.NewSource(24)))
+			}
+			if !c.otherW {
+				wb = w
 			}
 			for i := range xb.Data {
 				xb.Data[i] *= 4
@@ -312,7 +323,7 @@ func TestCrossPlanSharedPools(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pb, err := a.Plan(xb, w, epsB)
+			pb, err := a.Plan(xb, wb, epsB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,5 +372,43 @@ func TestCrossPlanSharedPools(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMWEMPoolKeyedByShape checks that MWEM's state pool is keyed by shape,
+// as every other mechanism's scratch is. A nil workload becomes a fresh
+// prefix workload on every Plan, so a pool keyed by the workload would add
+// one process-wide pool, pinning that workload, per plan.
+func TestMWEMPoolKeyedByShape(t *testing.T) {
+	const n, plans = 64, 100
+	mwemPools := func() int {
+		count := 0
+		scratchPools.Range(func(k, _ any) bool {
+			if k.(scratchKey).mech == "MWEM" {
+				count++
+			}
+			return true
+		})
+		return count
+	}
+	before := mwemPools()
+	x := planVec1D(t, 31, n)
+	out := make([]float64, n)
+	pools := map[uintptr]bool{}
+	for i := 0; i < plans; i++ {
+		p, err := (&MWEM{T: 5, UpdateSweeps: 1}).Plan(x, nil, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Execute(noise.NewMeter(0.5, rand.New(rand.NewSource(int64(i)))), out); err != nil {
+			t.Fatal(err)
+		}
+		pools[planPool(p)] = true
+	}
+	if len(pools) != 1 {
+		t.Errorf("%d nil-workload MWEM plans drew from %d state pools, want 1", plans, len(pools))
+	}
+	if added := mwemPools() - before; added > 1 {
+		t.Errorf("%d nil-workload MWEM plans added %d MWEM pools, want at most 1", plans, added)
 	}
 }

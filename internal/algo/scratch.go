@@ -1,10 +1,6 @@
 package algo
 
-import (
-	"sync"
-
-	"dpbench/internal/workload"
-)
+import "sync"
 
 // scratchKey names one process-wide pool of per-trial scratch: the plan type
 // (and layout) whose Execute uses it, plus every size its scratch constructor
@@ -19,7 +15,6 @@ import (
 // behind reaches an output. TestCrossPlanSharedPools checks this.
 type scratchKey struct {
 	mech  string
-	w     *workload.Workload // MWEM only: its state evaluates this workload
 	sizes [3]int
 }
 

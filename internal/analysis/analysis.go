@@ -7,10 +7,10 @@
 // ported to the real go/analysis multichecker by swapping one import when a
 // vendored golang.org/x/tools becomes available. The repo's build
 // environment has no module network access and an empty module cache, so
-// the framework itself (package loading, type checking, the vet driver
-// protocol, fixture tests) is built on the standard library alone:
-// `go list -export -json` supplies the package graph and compiled export
-// data, and go/types + go/importer type-check the target sources against it.
+// the framework itself (package loading, type checking, fixture tests) is
+// built on the standard library alone: `go list -export -json` supplies the
+// package graph and compiled export data, and go/types + go/importer
+// type-check the target sources against it.
 package analysis
 
 import (

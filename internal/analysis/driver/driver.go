@@ -30,8 +30,7 @@ func (f Finding) String() string {
 // that silences nothing is itself reported (as pseudo-analyzer
 // "unusedallow"), so stale suppressions cannot accumulate — but only when
 // the analyzer it names actually ran in this call, so a single-analyzer run
-// (analysistest, vet unit) never flags grants aimed at the rest of the
-// roster.
+// (analysistest) never flags grants aimed at the rest of the roster.
 func Analyze(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	allowed := collectAllows(pkg)
 	var findings []Finding

@@ -180,21 +180,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 // LoadFiles parses and type-checks one package from an explicit file list
 // under an explicit import path, resolving imports through exp. It is the
-// entry point for analysistest fixtures (whose sources live under testdata,
-// invisible to go list) and for the vet driver protocol.
+// entry point for analysistest fixtures, whose sources live under testdata,
+// invisible to go list.
 func LoadFiles(exp *Exporter, importPath string, files []string) (*Package, error) {
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", exp.Lookup)
-	return check(fset, imp, &Meta{ImportPath: importPath}, files)
-}
-
-// LoadFilesLookup is LoadFiles with a caller-supplied export-data lookup. It
-// exists for the go vet driver protocol, where the go command hands the tool
-// an explicit import-path -> export-file map instead of letting it shell out
-// to go list.
-func LoadFilesLookup(lookup func(path string) (io.ReadCloser, error), importPath string, files []string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", lookup)
 	return check(fset, imp, &Meta{ImportPath: importPath}, files)
 }
 

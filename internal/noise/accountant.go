@@ -19,12 +19,6 @@ var (
 	// declared composition: an undeclared label, or spends that do not sum
 	// to the trial's epsilon.
 	ErrCompositionViolation = errors.New("composition plan violated")
-	// ErrCommitFailed marks a spend whose durable commit hook failed: the
-	// charge is recorded in memory (over-reporting is always privacy-safe)
-	// but nothing may be released against it, because a crash would lose the
-	// only evidence the budget was spent. The serving layer maps it to HTTP
-	// 503 and reports a degraded /healthz.
-	ErrCommitFailed = errors.New("durable spend commit failed")
 )
 
 // Accountant tracks a privacy budget under sequential composition (Section
@@ -47,17 +41,7 @@ type Accountant struct {
 	// — its history would grow by one Spend per request forever — so the
 	// serving layer keeps only the O(1) running totals unless audit is on.
 	retain bool
-	// commitFn, when set, durably records each sequential spend before
-	// SpendDurable returns (see SetCommitFunc).
-	commitFn CommitFunc
 }
-
-// CommitFunc durably commits one spend, returning the 1-based sequence
-// number the durable ledger assigned to it. It is called by SpendDurable
-// after the in-memory charge is recorded, outside the accountant's lock, so
-// a slow commit (a group-commit fsync) blocks only the calling request — a
-// concurrent spend on the same accountant proceeds to its own commit.
-type CommitFunc func(s Spend) (seq uint64, err error)
 
 // Spend is one recorded budget expenditure.
 type Spend struct {
@@ -84,9 +68,8 @@ func NewAccountant(total float64) (*Accountant, error) {
 
 // Reset clears all recorded spends and re-arms the accountant for a new total
 // budget, retaining the ledger's capacity so pooled reuse appends without
-// allocating. History retention is re-enabled and any commit hook dropped:
-// pooled accountants serve the audit path, which needs the full ledger and
-// no durability.
+// allocating. History retention is re-enabled: pooled accountants serve the
+// audit path, which needs the full ledger.
 func (a *Accountant) Reset(total float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -94,7 +77,6 @@ func (a *Accountant) Reset(total float64) {
 	a.spent = 0
 	a.spends = a.spends[:0]
 	a.retain = true
-	a.commitFn = nil
 	if a.parMax == nil {
 		a.parMax = make(map[string]float64)
 	} else {
@@ -116,46 +98,9 @@ func (a *Accountant) SetRetainHistory(v bool) {
 	}
 }
 
-// SetCommitFunc installs the durable commit hook consumed by SpendDurable.
-// It must be called before the accountant is shared across goroutines (the
-// serving layer installs it when the accountant is minted); the hook itself
-// must be safe for concurrent calls.
-func (a *Accountant) SetCommitFunc(fn CommitFunc) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.commitFn = fn
-}
-
-// SpendDurable is Spend followed by the accountant's durable commit hook:
-// when a commit hook is installed, the spend is handed to it after the
-// in-memory charge succeeds, and the hook's assigned sequence number is
-// returned once the spend is durably recorded. A hook failure returns an
-// error wrapping ErrCommitFailed; the in-memory charge stays recorded —
-// over-reporting a spend is always privacy-safe, and the caller must fail
-// closed (refuse the release) because after a restart only durably committed
-// charges are recovered. Without a hook it behaves exactly like Spend and
-// returns sequence 0.
-func (a *Accountant) SpendDurable(label string, eps float64) (uint64, error) {
-	if err := a.spend(label, eps, false); err != nil {
-		return 0, err
-	}
-	a.mu.Lock()
-	fn := a.commitFn
-	a.mu.Unlock()
-	if fn == nil {
-		return 0, nil
-	}
-	seq, err := fn(Spend{Label: label, Eps: eps})
-	if err != nil {
-		return 0, fmt.Errorf("noise: %w: %w", ErrCommitFailed, err)
-	}
-	return seq, nil
-}
-
-// Restore force-applies a recovered spend: no budget check and no commit
-// hook, because the spend already passed both when it was first committed —
-// recovery's job is to reproduce the recorded history exactly, even if a
-// configuration change (a lowered total budget) means the history now
+// Restore force-applies a recovered spend: no budget check, because the
+// spend already passed one when it was first committed — recovery's job is
+// to reproduce the recorded history exactly, even if a configuration change (a lowered total budget) means the history now
 // exceeds the total. Subsequent regular spends still enforce the current
 // total, so an over-budget recovered ledger simply refuses further charges.
 func (a *Accountant) Restore(label string, eps float64) error {

@@ -2,7 +2,6 @@ package noise
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 )
@@ -62,51 +61,5 @@ func TestAccountantRestoreBypassesBudgetCheck(t *testing.T) {
 	}
 	if err := a.Restore("q", -0.1); err == nil {
 		t.Fatal("negative restored spend accepted")
-	}
-}
-
-func TestSpendDurableCommitHook(t *testing.T) {
-	a, _ := NewAccountant(1.0)
-	// Without a hook, SpendDurable is Spend with sequence 0.
-	seq, err := a.SpendDurable("q", 0.1)
-	if err != nil || seq != 0 {
-		t.Fatalf("hookless SpendDurable: seq=%d err=%v, want 0/nil", seq, err)
-	}
-
-	var committed []Spend
-	a.SetCommitFunc(func(s Spend) (uint64, error) {
-		committed = append(committed, s)
-		return uint64(len(committed)) + 10, nil
-	})
-	seq, err = a.SpendDurable("q", 0.2)
-	if err != nil || seq != 11 {
-		t.Fatalf("hooked SpendDurable: seq=%d err=%v, want 11/nil", seq, err)
-	}
-	if len(committed) != 1 || committed[0] != (Spend{Label: "q", Eps: 0.2}) {
-		t.Fatalf("hook saw %+v", committed)
-	}
-
-	// A refused spend never reaches the hook: nothing durable happens for a
-	// charge that was not recorded.
-	if _, err := a.SpendDurable("q", 5.0); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("overspend: %v, want ErrBudgetExhausted", err)
-	}
-	if len(committed) != 1 {
-		t.Fatalf("refused spend reached the commit hook (%d commits)", len(committed))
-	}
-}
-
-func TestSpendDurableCommitFailureKeepsCharge(t *testing.T) {
-	a, _ := NewAccountant(1.0)
-	boom := fmt.Errorf("disk on fire")
-	a.SetCommitFunc(func(Spend) (uint64, error) { return 0, boom })
-	seq, err := a.SpendDurable("q", 0.3)
-	if seq != 0 || !errors.Is(err, ErrCommitFailed) || !errors.Is(err, boom) {
-		t.Fatalf("failed commit: seq=%d err=%v, want ErrCommitFailed wrapping the cause", seq, err)
-	}
-	// The in-memory charge stays: over-reporting is privacy-safe, and the
-	// caller must fail closed rather than refund a maybe-durable spend.
-	if got := a.Spent(); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("spent %v after failed commit, want 0.3 (charge must stay)", got)
 	}
 }

@@ -128,26 +128,11 @@ func init() {
 	gumHiQTab[0] = gumHiQTab[1]
 }
 
-// gumbelFromBits maps one 64-bit uniform to a standard Gumbel sample via the
-// quantile table, falling back to the exact form in the tails.
-// The hot vector loops below repeat this body manually: at cost 104 it is
-// over the compiler's inlining budget, and a per-draw call erases most of the
-// table win.
-//
-//dp:hotpath
-func gumbelFromBits(x uint64) float64 {
-	idx := x >> (64 - fastTabBits)
-	if idx-fastTail < fastTabK-2*fastTail {
-		frac := float64(int64(x&fastFracMask)) * 0x1p-54
-		lo := gumQTab[idx]
-		return lo + (gumQTab[idx+1]-lo)*frac
-	}
-	return gumbelExact(x)
-}
-
-// gumbelExact resolves a tail draw: both tails are re-indexed into the
-// second-level tables at 64x resolution, and only the outermost 2^-12 of the
-// uniform range pays for math.Log.
+// gumbelExact maps one 64-bit uniform in a tail of the Gumbel quantile
+// table to a standard Gumbel sample, for the fast loops that fall back to
+// it: both tails are re-indexed into the second-level tables at 64x
+// resolution, and only the outermost 2^-12 of the uniform range pays for
+// math.Log.
 //
 //go:noinline
 //dp:hotpath
@@ -262,7 +247,9 @@ func FastLaplaceVecInto(rng *rand.Rand, dst, x []float64, scale float64) []float
 			z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 			z ^= z >> 31
-			// expFromBits(z << 1), inlined by hand (see gumbelFromBits).
+			// expFromBits(z << 1), inlined by hand: at inlining cost 102
+			// it is over the compiler's budget, and a call per draw
+			// erases most of the table's gain.
 			u := z << 1
 			var e float64
 			if idx := u >> (64 - fastTabBits); idx >= fastTail {
@@ -342,7 +329,10 @@ func FastExpMechTop1(rng *rand.Rand, scores []float64, sensitivity, epsilon floa
 			z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 			z ^= z >> 31
-			// gumbelFromBits(z), inlined by hand (see its comment).
+			// A standard Gumbel from z: the quantile table, exact in the
+			// tails. As a function it would cost 104, over the compiler's
+			// inlining budget, and a call per draw erases most of the
+			// table's gain; FastGumbelVecInto repeats it for that reason.
 			var g float64
 			if idx := z >> (64 - fastTabBits); idx-fastTail < fastTabK-2*fastTail {
 				frac := float64(int64(z&fastFracMask)) * 0x1p-54
@@ -360,9 +350,9 @@ func FastExpMechTop1(rng *rand.Rand, scores []float64, sensitivity, epsilon floa
 }
 
 // FastGumbelVecInto fills dst with iid standard Gumbel samples from the
-// table-accelerated sampler. It exists for the distributional tests (KS
-// against the Gumbel CDF) and benchmarks; mechanisms select with
-// FastExpMechTop1 instead of drawing raw Gumbels.
+// table-accelerated sampler. Meter.ExpMechGumbels draws through it for a
+// fused Gumbel-max selection (MWEM's fast selection on 1D workloads); the
+// distributional tests (KS against the Gumbel CDF) call it directly.
 //
 //dp:hotpath
 func FastGumbelVecInto(rng *rand.Rand, dst []float64) {
@@ -379,7 +369,8 @@ func FastGumbelVecInto(rng *rand.Rand, dst []float64) {
 			z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 			z ^= z >> 31
-			// gumbelFromBits(z), inlined by hand (see its comment).
+			// The Gumbel lookup of FastExpMechTop1, inlined by hand for
+			// the same reason (inlining cost 104).
 			var g float64
 			if idx := z >> (64 - fastTabBits); idx-fastTail < fastTabK-2*fastTail {
 				frac := float64(int64(z&fastFracMask)) * 0x1p-54

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"dpbench/internal/ledger"
-	"dpbench/internal/noise"
 )
 
 // ledgerMaxBatch bounds the records per group commit. The batcher only
@@ -68,17 +66,17 @@ func (s *Server) openLedger() error {
 				// one direction the ledger must never err in.
 				return fmt.Errorf("recovered ledger holds more than %d keys", maxMintedKeys)
 			}
-			a = s.mintAccountant(r.Key)
+			a = newAccountant(s.cfg.KeyBudget)
 			s.keys[r.Key] = a
 		}
-		if err := a.Restore("query "+r.Dataset+"/"+r.Mechanism, r.Eps); err != nil {
+		if err := a.Restore(spendLabel, r.Eps); err != nil {
 			return err
 		}
 		// A dataset that is no longer in the roster keeps its key charges
 		// (the caller spent that budget) but has no live accountant to
 		// restore into; re-registering it starts a fresh dataset total.
 		if ds := s.dsBudgets[r.Dataset]; ds != nil {
-			if err := ds.Restore("key "+r.Key, r.Eps); err != nil {
+			if err := ds.Restore(spendLabel, r.Eps); err != nil {
 				return err
 			}
 		}
@@ -104,32 +102,6 @@ func (s *Server) openLedger() error {
 		}
 	})
 	return nil
-}
-
-// commitSpend is the accountant commit hook: it turns one key's spend into a
-// ledger record and blocks until the group commit containing it is durable.
-func (s *Server) commitSpend(key string, sp noise.Spend) (uint64, error) {
-	rest, ok := strings.CutPrefix(sp.Label, "query ")
-	if !ok {
-		return 0, fmt.Errorf("serve: unledgerable spend label %q", sp.Label)
-	}
-	ds, mech, ok := strings.Cut(rest, "/")
-	if !ok {
-		return 0, fmt.Errorf("serve: unledgerable spend label %q", sp.Label)
-	}
-	return s.ledger.batcher.Submit(ledger.Record{Key: key, Dataset: ds, Mechanism: mech, Eps: sp.Eps})
-}
-
-// mintAccountant builds one key's accountant with the server's retention
-// policy and, when a durable ledger is configured, the commit hook that
-// makes every spend durable before a release happens.
-func (s *Server) mintAccountant(key string) *noise.Accountant {
-	a, _ := noise.NewAccountant(s.cfg.KeyBudget) // KeyBudget validated positive in New
-	a.SetRetainHistory(s.cfg.Audit)
-	if s.ledger != nil {
-		a.SetCommitFunc(func(sp noise.Spend) (uint64, error) { return s.commitSpend(key, sp) })
-	}
-	return a
 }
 
 // RecoveryInfo summarizes what startup replay recovered from the durable

@@ -128,9 +128,20 @@ func TestServeDurableCommitFailureFailsClosed(t *testing.T) {
 	if rec := postQuery(t, s, req); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("query after store failure: status %d, want 503; body: %s", rec.Code, rec.Body)
 	}
-	// ...while committed state stays inspectable.
-	if rec := getPath(t, s, "/v1/budget?key=alice"); rec.Code != http.StatusOK {
+	// ...while committed state stays inspectable. A failed commit keeps the
+	// key's charge (over-reporting is privacy-safe; a refund of a spend that
+	// may be durable is not), so alice has paid for the release and for
+	// both refused ones.
+	rec = getPath(t, s, "/v1/budget?key=alice")
+	if rec.Code != http.StatusOK {
 		t.Fatalf("read-only endpoint on degraded server: status %d", rec.Code)
+	}
+	var budget BudgetResponse
+	if err := json.NewDecoder(rec.Body).Decode(&budget); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(budget.Spent-0.3) > 1e-12 {
+		t.Fatalf("spent %v after one release and two failed commits, want 0.3 (a failed commit keeps the charge)", budget.Spent)
 	}
 	if rec := getPath(t, s, "/v1/root"); rec.Code != http.StatusOK {
 		t.Fatalf("/v1/root on degraded server: status %d", rec.Code)

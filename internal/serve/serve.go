@@ -47,7 +47,7 @@ const (
 	// key strings would grow the accountant map until the process OOMs.
 	maxMintedKeys = 100_000
 	// maxKeyBytes caps the length of an API key string: keys are retained
-	// verbatim in the key table (and in ledger labels), so without a cap a
+	// verbatim in the key table (and in ledger records), so without a cap a
 	// flood of megabyte-long key strings would exhaust memory long before
 	// maxMintedKeys trips.
 	maxKeyBytes = 256
@@ -112,11 +112,6 @@ type Config struct {
 	// removable — by anyone who knows the seed, so it exists for tests and
 	// replay tooling only; the default (false) rejects seeded requests.
 	AllowSeededQueries bool
-	// Sampler selects the noise-sampler family every query meter runs under
-	// (the -sampler CLI flag). The zero value is the legacy reference
-	// sampler; SamplerFast serves the table-accelerated family. Both sample
-	// the same distributions, so the served privacy guarantees are identical.
-	Sampler noise.SamplerVersion
 	// LedgerPath, when non-empty, backs every budget charge with an
 	// append-only, tamper-evident WAL at this path (the -ledger CLI flag):
 	// spends are group-committed with an fsync before any noise is drawn,
@@ -130,11 +125,6 @@ type Config struct {
 	// LedgerStore injects a ledger store directly (tests, fault injection,
 	// alternative backends). Mutually exclusive with LedgerPath.
 	LedgerStore ledger.Store
-	// Audit retains every accountant's full per-spend history (the -audit
-	// serve flag). Off by default: a serving ledger otherwise grows by one
-	// record per request for the life of the process, so without audit the
-	// accountants keep only O(1) running totals.
-	Audit bool
 }
 
 // cell is one precompiled (dataset, mechanism, epsilon) release pipeline.
@@ -158,15 +148,32 @@ type queryScratch struct {
 	table []float64
 }
 
-func cellKey(ds, mech string, eps float64) string {
-	return fmt.Sprintf("%s|%s|%g", ds, mech, eps)
+// cellKey names a precompiled cell; a request looks its cell up by the
+// dataset, mechanism and epsilon it asks for.
+type cellKey struct {
+	dataset, mech string
+	eps           float64
+}
+
+// spendLabel is the label of every charge on a key's or a dataset's
+// accountant. Serve keeps no per-spend history, so the label names nothing:
+// the durable ledger's record says what was spent, by whom and on what.
+const spendLabel = "query"
+
+// newAccountant returns a serving accountant for a positive total. It keeps
+// only O(1) running totals: a per-spend history would grow by one Spend per
+// request for the life of the process, and nothing in serve reads one.
+func newAccountant(total float64) *noise.Accountant {
+	a, _ := noise.NewAccountant(total) // totals validated positive in New
+	a.SetRetainHistory(false)
+	return a
 }
 
 // Server answers DP range-query workloads over HTTP/JSON against
 // precompiled release plans, enforcing a per-API-key privacy budget.
 type Server struct {
 	cfg   Config
-	cells map[string]*cell
+	cells map[cellKey]*cell
 
 	mu   sync.Mutex
 	keys map[string]*noise.Accountant
@@ -226,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	s := &Server{cfg: cfg, cells: map[string]*cell{}, keys: map[string]*noise.Accountant{}, dsBudgets: map[string]*noise.Accountant{}}
+	s := &Server{cfg: cfg, cells: map[cellKey]*cell{}, keys: map[string]*noise.Accountant{}, dsBudgets: map[string]*noise.Accountant{}}
 	for di, dsName := range cfg.Datasets {
 		ds, err := dataset.ByName(dsName)
 		if err != nil {
@@ -235,14 +242,7 @@ func New(cfg Config) (*Server, error) {
 		if _, dup := s.dsBudgets[ds.Name]; dup {
 			return nil, fmt.Errorf("serve: dataset %s listed twice", ds.Name)
 		}
-		s.dsBudgets[ds.Name], err = noise.NewAccountant(cfg.TotalBudget)
-		if err != nil {
-			return nil, fmt.Errorf("serve: dataset budget: %w", err)
-		}
-		// Same retention policy as the key ledgers: without -audit the
-		// dataset accountant keeps O(1) running totals, not one Spend per
-		// request forever.
-		s.dsBudgets[ds.Name].SetRetainHistory(cfg.Audit)
+		s.dsBudgets[ds.Name] = newAccountant(cfg.TotalBudget)
 		var dims []int
 		if ds.Dim == 1 {
 			dims = []int{cfg.Domain1D}
@@ -292,7 +292,7 @@ func New(cfg Config) (*Server, error) {
 				c.scratch.New = func() any {
 					return &queryScratch{est: make([]float64, n), table: make([]float64, tableLen)}
 				}
-				s.cells[cellKey(ds.Name, mechName, eps)] = c
+				s.cells[cellKey{ds.Name, mechName, eps}] = c
 			}
 		}
 	}
@@ -359,7 +359,7 @@ func (s *Server) accountant(key string) (*noise.Accountant, error) {
 		if len(s.keys) >= maxMintedKeys {
 			return nil, fmt.Errorf("key table full: %d keys already minted", maxMintedKeys)
 		}
-		a = s.mintAccountant(key)
+		a = newAccountant(s.cfg.KeyBudget)
 		s.keys[key] = a
 	}
 	return a, nil
@@ -468,7 +468,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%d queries in one request exceeds the limit of %d", q, maxQueriesPerRequest)
 		return
 	}
-	c, ok := s.cells[cellKey(req.Dataset, req.Mechanism, req.Epsilon)]
+	c, ok := s.cells[cellKey{req.Dataset, req.Mechanism, req.Epsilon}]
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			"no precompiled cell for dataset=%q mechanism=%q epsilon=%g; see /v1/cells", req.Dataset, req.Mechanism, req.Epsilon)
@@ -481,36 +481,40 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Charge BEFORE drawing noise: a refused request must not release
 	// anything. The key's ledger is charged first (the caller's own
-	// allowance), then the dataset's global ledger, which is what actually
-	// bounds the data's total privacy loss — keys are minted on first use,
-	// so without it a caller could re-key forever. If the dataset charge is
-	// refused after the key charge succeeded, the key keeps the charge:
-	// over-reporting a spend is always privacy-safe, and at that point the
-	// dataset is out of budget for everyone anyway. Spend is atomic on each
-	// accountant, so racing requests cannot jointly overspend either ledger.
+	// allowance) and, with a durable ledger, committed; then the dataset's
+	// global ledger, which is what actually bounds the data's total privacy
+	// loss — keys are minted on first use, so without it a caller could
+	// re-key forever. If a later step fails after the key charge succeeded,
+	// the key keeps the charge: over-reporting a spend is always
+	// privacy-safe, and a refund of a maybe-durable spend is not. Spend is
+	// atomic on each accountant, so racing requests cannot jointly overspend
+	// either ledger.
 	acct, err := s.accountant(req.Key)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "cannot mint key %q: %v", req.Key, err)
 		return
 	}
-	seq, err := acct.SpendDurable("query "+req.Dataset+"/"+req.Mechanism, req.Epsilon)
-	if err != nil {
+	if err := acct.Spend(spendLabel, req.Epsilon); err != nil {
 		if errors.Is(err, noise.ErrBudgetExhausted) {
 			writeError(w, http.StatusTooManyRequests,
 				"privacy budget exhausted for key %q: spent %g of %g, query needs %g", req.Key, acct.Spent(), s.cfg.KeyBudget, req.Epsilon)
 			return
 		}
-		if errors.Is(err, noise.ErrCommitFailed) {
+		writeError(w, http.StatusBadRequest, "budget charge failed: %v", err)
+		return
+	}
+	var seq uint64
+	if s.ledger != nil {
+		seq, err = s.ledger.batcher.Submit(ledger.Record{Key: req.Key, Dataset: c.dataset, Mechanism: c.mech, Eps: c.eps})
+		if err != nil {
 			// Fail closed: the spend could not be made durable, so no noise
 			// may be drawn against it — a crash would lose the only evidence
 			// the budget was spent. /healthz now reports degraded.
 			writeError(w, http.StatusServiceUnavailable, "budget commit failed, no release performed (server degraded): %v", err)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "budget charge failed: %v", err)
-		return
 	}
-	if err := s.dsBudgets[c.dataset].Spend("key "+req.Key, req.Epsilon); err != nil {
+	if err := s.dsBudgets[c.dataset].Spend(spendLabel, req.Epsilon); err != nil {
 		if errors.Is(err, noise.ErrBudgetExhausted) {
 			writeError(w, http.StatusTooManyRequests,
 				"dataset %q has exhausted its total privacy budget (%g across all keys); no further releases", c.dataset, s.cfg.TotalBudget)
@@ -535,7 +539,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := c.scratch.Get().(*queryScratch)
 	defer c.scratch.Put(sc)
-	if err := c.plan.Execute(noise.NewMeterV(req.Epsilon, rng, s.cfg.Sampler), sc.est); err != nil {
+	if err := c.plan.Execute(noise.NewMeter(req.Epsilon, rng), sc.est); err != nil {
 		// The budget was charged but no release happened; refund by
 		// resetting is unsound (ledger history), so surface the failure.
 		writeError(w, http.StatusInternalServerError, "mechanism execution failed: %v", err)
@@ -631,16 +635,12 @@ type CellInfo struct {
 	Epsilon   float64 `json:"epsilon"`
 	Dims      []int   `json:"dims"`
 	Scale     float64 `json:"scale"`
-	// Sampler reports the noise-sampler family the server draws from
-	// ("legacy" or "fast"); it is server-wide, repeated per cell so roster
-	// consumers need no second endpoint.
-	Sampler string `json:"sampler"`
 }
 
 func (s *Server) handleCells(w http.ResponseWriter, _ *http.Request) {
 	out := make([]CellInfo, 0, len(s.cells))
 	for _, c := range s.cells {
-		out = append(out, CellInfo{Dataset: c.dataset, Mechanism: c.mech, Epsilon: c.eps, Dims: c.dims, Scale: c.scale, Sampler: s.cfg.Sampler.String()})
+		out = append(out, CellInfo{Dataset: c.dataset, Mechanism: c.mech, Epsilon: c.eps, Dims: c.dims, Scale: c.scale})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dataset != out[j].Dataset {

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"dpbench/internal/noise"
 )
 
 func testServer(t testing.TB, cfg Config) *Server {
@@ -446,59 +444,4 @@ func (s *Server) lookupSpent(key string) float64 {
 		return a.Spent()
 	}
 	return 0
-}
-
-// TestServeFastSampler pins the sampler roster wiring: a server configured
-// with the fast sampler serves queries through the fast noise stream (same
-// pinned seed, different draws than a legacy server), stays reproducible for
-// a pinned seed, and advertises the version on /v1/cells so clients can tell
-// which stream a release came from.
-func TestServeFastSampler(t *testing.T) {
-	legacy := testServer(t, smallConfig())
-	cfg := smallConfig()
-	cfg.Sampler = noise.SamplerFast
-	fast := testServer(t, cfg)
-
-	req := QueryRequest{
-		Key: "alice", Dataset: "ADULT", Mechanism: "DAWA", Epsilon: 0.1,
-		Ranges: []Range{{Lo: 0, Hi: 255}}, Seed: 7,
-	}
-	rec := postQuery(t, fast, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("fast query: status %d, want 200; body: %s", rec.Code, rec.Body)
-	}
-	a := decodeResponse(t, rec)
-	if math.Abs(a.Answers[0]-10_000) > 5_000 {
-		t.Errorf("fast full-domain answer %v implausibly far from scale 10000", a.Answers[0])
-	}
-	// Reproducible for a pinned seed, on the fast stream.
-	req.Key = "bob"
-	b := decodeResponse(t, postQuery(t, fast, req))
-	if a.Answers[0] != b.Answers[0] {
-		t.Errorf("fast release not reproducible for pinned seed: %v vs %v", a.Answers[0], b.Answers[0])
-	}
-	// And a different stream than a legacy server draws on the same seed.
-	req.Key = "carol"
-	l := decodeResponse(t, postQuery(t, legacy, req))
-	if a.Answers[0] == l.Answers[0] {
-		t.Errorf("fast and legacy servers drew identical noise %v on one seed", a.Answers[0])
-	}
-
-	// /v1/cells reports the roster's sampler on every cell.
-	for srv, want := range map[*Server]string{legacy: "legacy", fast: "fast"} {
-		crec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(crec, httptest.NewRequest(http.MethodGet, "/v1/cells", nil))
-		var cells []CellInfo
-		if err := json.NewDecoder(crec.Body).Decode(&cells); err != nil {
-			t.Fatalf("decoding cells: %v", err)
-		}
-		if len(cells) == 0 {
-			t.Fatal("no cells advertised")
-		}
-		for _, c := range cells {
-			if c.Sampler != want {
-				t.Errorf("cell %s/%s advertises sampler %q, want %q", c.Dataset, c.Mechanism, c.Sampler, want)
-			}
-		}
-	}
 }

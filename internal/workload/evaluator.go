@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Evaluator answers a workload repeatedly against changing estimate vectors
 // without allocating: it owns the prefix-sum (1D) or summed-area (2D) table
@@ -37,6 +40,16 @@ func NewEvaluator(w *Workload) *Evaluator {
 
 // Workload returns the workload this evaluator answers.
 func (e *Evaluator) Workload() *Workload { return e.w }
+
+// Bind points the evaluator at w, which must be over the dims the evaluator
+// was built for; the table is kept, so one pooled evaluator can answer every
+// workload of its shape in turn. It does not allocate.
+func (e *Evaluator) Bind(w *Workload) {
+	if !slices.Equal(w.Dims, e.w.Dims) {
+		panic(fmt.Sprintf("workload: binding a workload over %v to an evaluator over %v", w.Dims, e.w.Dims))
+	}
+	e.w = w
+}
 
 // Reset rebuilds the internal table from the given flat estimate vector,
 // which must match the workload's domain. It does not retain data.

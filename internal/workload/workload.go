@@ -38,6 +38,20 @@ type Workload struct {
 // Size returns the number of queries q.
 func (w *Workload) Size() int { return len(w.lo0) }
 
+// IsPrefix reports whether w is the prefix workload of its 1D domain: n
+// queries, query k covering exactly [0, k].
+func IsPrefix(w *Workload) bool {
+	if len(w.Dims) != 1 || w.Size() != w.Dims[0] {
+		return false
+	}
+	for k, lo := range w.lo0 {
+		if lo != 0 || int(w.hi0[k]) != k {
+			return false
+		}
+	}
+	return true
+}
+
 // AddRange appends the inclusive 1D range query [lo, hi]. The workload must
 // be one-dimensional.
 func (w *Workload) AddRange(lo, hi int) {

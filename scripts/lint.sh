@@ -1,17 +1,13 @@
 #!/usr/bin/env bash
-# Run the full lint surface: the dpbench invariant analyzers through the
-# go vet driver (per-package, cached), then staticcheck and govulncheck when
-# they are installed. CI's lint job runs exactly this script; locally the
-# optional tools are skipped rather than failing, so the script works in
-# offline environments with nothing beyond the go toolchain.
+# Run the full lint surface: the dpbench invariant analyzers, then
+# staticcheck and govulncheck when they are installed. CI's lint job runs
+# exactly this script; locally the optional tools are skipped rather than
+# failing, so the script works in offline environments with nothing beyond
+# the go toolchain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-
-go build -o "$tmp/dpbench-lint" ./cmd/dpbench-lint
-go vet -vettool="$tmp/dpbench-lint" ./...
+go run ./cmd/dpbench-lint ./...
 
 if command -v staticcheck >/dev/null 2>&1; then
 	staticcheck ./...
