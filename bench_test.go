@@ -239,19 +239,6 @@ func BenchmarkSweepSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSerialFast runs the Figure 1a grid sweep on a single worker
-// with the fast sampler — the ROADMAP item 2 configuration (-sampler=fast).
-func BenchmarkSweepSerialFast(b *testing.B) {
-	opt := benchOptions()
-	opt.Workers = 1
-	opt.Sampler = noise.SamplerFast
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig1aData(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSweepParallel4 runs the identical grid sweep with -workers=4; the
 // acceptance target is >1.5x over BenchmarkSweepSerial on a multi-core box.
 func BenchmarkSweepParallel4(b *testing.B) {
@@ -291,34 +278,6 @@ func benchAlgorithm1D(b *testing.B, name string) {
 	}
 }
 
-// benchAlgorithm1DFast is benchAlgorithm1D with the mechanism pinned to the
-// fast sampler via algo.WithSamplerVersion — the exp-mech-heavy mechanisms
-// (MWEM, PHP, AHP, SF) are the ones the Gumbel-max top-1 path targets.
-func benchAlgorithm1DFast(b *testing.B, name string) {
-	d, err := dataset.ByName("SEARCH")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	x, err := d.Generate(rng, 100_000, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := workload.Prefix(4096)
-	a, err := algo.New(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a = algo.WithSamplerVersion(a, noise.SamplerFast)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Run(x, w, 0.1, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAlgoIdentity(b *testing.B) { benchAlgorithm1D(b, "IDENTITY") }
 func BenchmarkAlgoHB(b *testing.B)       { benchAlgorithm1D(b, "HB") }
 func BenchmarkAlgoPrivelet(b *testing.B) { benchAlgorithm1D(b, "PRIVELET") }
@@ -328,11 +287,6 @@ func BenchmarkAlgoEFPA(b *testing.B)     { benchAlgorithm1D(b, "EFPA") }
 func BenchmarkAlgoSF(b *testing.B)       { benchAlgorithm1D(b, "SF") }
 func BenchmarkAlgoAHP(b *testing.B)      { benchAlgorithm1D(b, "AHP") }
 func BenchmarkAlgoPHP(b *testing.B)      { benchAlgorithm1D(b, "PHP") }
-
-func BenchmarkAlgoMWEMFast(b *testing.B) { benchAlgorithm1DFast(b, "MWEM") }
-func BenchmarkAlgoPHPFast(b *testing.B)  { benchAlgorithm1DFast(b, "PHP") }
-func BenchmarkAlgoAHPFast(b *testing.B)  { benchAlgorithm1DFast(b, "AHP") }
-func BenchmarkAlgoSFFast(b *testing.B)   { benchAlgorithm1DFast(b, "SF") }
 
 // --- Plan/Execute amortization benchmarks ---
 

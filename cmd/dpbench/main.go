@@ -84,7 +84,6 @@ func runExperiments(args []string) int {
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the experiment grid (results are identical for any value)")
 		domain1D   = fs.Int("n", 0, "override the 1D domain size (0 = the grid's default; planned mechanisms scale to 2^20 bins)")
 		audit      = fs.Bool("audit", false, "verify the privacy-budget ledger after every trial (output is identical; fails fast on any budget-math bug)")
-		sampler    = fs.String("sampler", "legacy", "noise-sampler family: legacy (reference, golden-pinned stream) or fast (table-accelerated)")
 		list       = fs.Bool("list", false, "print the mechanism registry (name, dims, data dependence, composition) and exit")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -149,17 +148,11 @@ func runExperiments(args []string) int {
 		}()
 	}
 
-	samplerV, err := release.ParseSampler(*sampler)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-sampler: %v\n", err)
-		return 2
-	}
-
 	// Ctrl-C cancels the grid between cells instead of killing mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opt := experiments.Options{Out: os.Stdout, Quick: !*full, Seed: *seed, Workers: *workers, Audit: *audit, Domain1D: *domain1D, Sampler: samplerV, Ctx: ctx}
+	opt := experiments.Options{Out: os.Stdout, Quick: !*full, Seed: *seed, Workers: *workers, Audit: *audit, Domain1D: *domain1D, Ctx: ctx}
 
 	runners := map[string]func() error{
 		"fig1a":    func() error { _, err := experiments.Fig1a(opt); return err },

@@ -61,20 +61,12 @@
 // layer share one precompiled plan across all requests, and the runners
 // share one plan per (sample, mechanism) across trials and workers.
 //
-// Noise sampling is versioned. The legacy samplers (the default everywhere)
-// call math.Log per Laplace draw and math.Exp per exponential-mechanism
-// score, and their exact stream is what every golden output, CLI diff and
-// recorded figure pins — so the default never changes. The fast samplers
-// (release.WithSampler(release.SamplerFast), the CLI's -sampler=fast flag)
-// replace the per-draw transcendentals with table-accelerated inverse-CDF
-// evaluation, batched vector draws, and a Gumbel-max top-1
-// exponential-mechanism selection. They sample the
-// identical distributions — pinned by fixed-seed Kolmogorov–Smirnov,
-// chi-square and selection-frequency tests plus their own output goldens —
-// but draw a different stream, so selecting them is always an explicit,
-// visible choice carried on the plan, never an upgrade applied silently to
-// a reproducible run. Budget charges are independent of the sampler
-// version: a fast trial passes the same ledger audit a legacy trial does.
+// Noise sampling has one family: Laplace draws call math.Log and
+// exponential-mechanism selections call math.Exp per score, and their exact
+// stream is what every golden output, CLI diff and recorded figure pins. A
+// faster sampler can return only as that same single family, with a proven
+// floating-point privacy bound and regenerated goldens, never as a second
+// option beside it.
 //
 // Privacy-budget enforcement is machine-checked end to end. Every mechanism
 // draws all randomness through a privacy.Meter and declares a composition

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dpbench"
 	"dpbench/internal/algo"
 	"dpbench/internal/core"
 	"dpbench/internal/dataset"
-	"dpbench/internal/noise"
 	"dpbench/internal/workload"
 	"dpbench/release"
 )
@@ -202,12 +202,13 @@ func mustInternal(t *testing.T, names ...string) []algo.Algorithm {
 	return out
 }
 
-// TestWithSamplerFacade pins the public sampler-selection path: a mechanism
-// built with release.WithSampler(SamplerFast) runs on exactly the stream the
-// internal algo.WithSamplerVersion wrapper draws, composes with other options
-// through the unwrap path, audits cleanly, and an unpinned mechanism stays
-// bit-identical to the legacy default.
-func TestWithSamplerFacade(t *testing.T) {
+// TestNewOptionsConfigureMechanism pins that a construction option reaches
+// the concrete mechanism release.New returns: the optioned mechanism
+// releases exactly what the same configuration built by hand on the
+// internal type releases on one seed, and something different from the
+// registry default. (A bare &algo.MWEM{T: 6} would not match: the registry
+// default also sets UpdateSweeps.)
+func TestNewOptionsConfigureMechanism(t *testing.T) {
 	ds, err := dpbench.OpenDataset("MEDCOST")
 	if err != nil {
 		t.Fatal(err)
@@ -217,87 +218,49 @@ func TestWithSamplerFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := dpbench.Prefix(256)
-
-	fastPub, err := release.New("MWEM",
-		release.WithSampler(release.SamplerFast), release.WithMWEMRounds(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := release.Run(fastPub, x, w, 0.5, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Internal path: the same pin applied directly around the algo type.
-	ref, err := algo.New("MWEM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.(*algo.MWEM).T = 6
-	ref.(*algo.MWEM).TFromSignal = nil
-	want, err := algo.WithSamplerVersion(ref, noise.SamplerFast).Run(x, w, 0.5, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cell %d: facade fast run %v != internal fast run %v (bitwise)", i, got[i], want[i])
+	mwemT6 := func() algo.Algorithm {
+		a, err := algo.New("MWEM")
+		if err != nil {
+			t.Fatal(err)
 		}
+		a.(*algo.MWEM).T = 6
+		a.(*algo.MWEM).TFromSignal = nil
+		return a
 	}
-
-	// The fast stream is a different stream than legacy on the same seed.
-	legacyPub, err := release.New("MWEM", release.WithMWEMRounds(6))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		opt  release.Option
+		ref  func() algo.Algorithm
+	}{
+		{"MWEM", release.WithMWEMRounds(6), mwemT6},
+		{"AHP", release.WithAHPParams(0.3, 0.2), func() algo.Algorithm { return &algo.AHP{Rho: 0.3, Eta: 0.2} }},
 	}
-	leg, err := release.Run(legacyPub, x, w, 0.5, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range leg {
-		if got[i] != leg[i] {
-			same = false
-			break
+	run := func(m release.Mechanism) []float64 {
+		out, err := release.Run(m, x, w, 0.5, rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return out
 	}
-	if same {
-		t.Fatal("fast and legacy runs drew identical outputs on one seed")
-	}
-
-	// Option order must not matter: the sampler pin is applied last either way.
-	swapped, err := release.New("MWEM",
-		release.WithMWEMRounds(6), release.WithSampler(release.SamplerFast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := release.Run(swapped, x, w, 0.5, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != got2[i] {
-			t.Fatalf("cell %d: option order changed the fast stream: %v vs %v", i, got[i], got2[i])
-		}
-	}
-
-	// A fast-pinned mechanism passes the budget audit like a legacy one.
-	if _, err := release.RunAudited(fastPub, x, w, 0.5, rand.New(rand.NewSource(11))); err != nil {
-		t.Fatalf("fast-pinned mechanism failed the audit: %v", err)
-	}
-
-	// ParseSampler round-trips the CLI spellings and rejects junk; an invalid
-	// version fails construction loudly.
-	if v, err := release.ParseSampler("fast"); err != nil || v != release.SamplerFast {
-		t.Fatalf("ParseSampler(fast) = %v, %v", v, err)
-	}
-	if v, err := release.ParseSampler(""); err != nil || v != release.SamplerLegacy {
-		t.Fatalf("ParseSampler(\"\") = %v, %v", v, err)
-	}
-	if _, err := release.ParseSampler("warp"); err == nil {
-		t.Fatal("ParseSampler must reject unknown names")
-	}
-	if _, err := release.New("MWEM", release.WithSampler(release.Sampler(42))); err == nil {
-		t.Fatal("New must reject an out-of-range sampler version")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			optioned, err := release.New(c.name, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := release.New(c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want, def := run(optioned), run(c.ref()), run(plain)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("cell %d: optioned release %v != hand-configured release %v (bitwise)", i, got[i], want[i])
+				}
+			}
+			if slices.Equal(got, def) {
+				t.Fatal("the option did not change the release: it equals the registry default's")
+			}
+		})
 	}
 }

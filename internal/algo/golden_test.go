@@ -520,7 +520,7 @@ func TestMWEMUpdatePathZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := newMWEMState(w.Dims, w.Size(), 8)
-	st.bind(w, workload.IsPrefix(w))
+	st.bind(w)
 	st.reset(x.Scale())
 	// Seed a history the replay sweeps over.
 	for i := 0; i < 8; i++ {

@@ -123,11 +123,6 @@ type mwemState struct {
 	// for the per-round selection. Nil for 2D (rectangles don't map to one
 	// segment-tree range). See mulSegTree for the numerical contract.
 	seg *mulSegTree
-
-	// prefixW marks a workload whose query k covers exactly [0, k]: every
-	// query answer is then one running sum over the leaves, so the fused
-	// fast selection skips building the prefix table entirely.
-	prefixW bool
 }
 
 // newMWEMState allocates the state for workloads of q queries over dims. It
@@ -155,10 +150,9 @@ func newMWEMState(dims []int, q, rounds int) *mwemState {
 
 // bind points the state at a workload of the shape it was built for. It is
 // O(1) and allocates nothing.
-func (st *mwemState) bind(w *workload.Workload, prefixW bool) {
+func (st *mwemState) bind(w *workload.Workload) {
 	st.w = w
 	st.ev.Bind(w)
-	st.prefixW = prefixW
 }
 
 // reset re-initializes a (possibly recycled) state for a fresh trial at the
@@ -232,66 +226,6 @@ func (st *mwemState) selectQuery(trueAns []float64, epsSelect float64, m *noise.
 	q := m.ExpMechBuf("select", st.scores, 1, epsSelect, st.expBuf)
 	st.chosen[q] = true
 	return q
-}
-
-// selectQueryFast is selectQuery on the fast-sampler path for 1D workloads:
-// the meter supplies a vector of standard Gumbel draws (charged exactly like
-// the exponential-mechanism selection it implements), and one fused pass
-// computes each query's score straight off the prefix table, perturbs it, and
-// tracks the argmax — no estAns materialization, no score vector, no separate
-// selection scan. Already-chosen queries are skipped outright instead of
-// carrying a -Inf score; they could never win, so the selection distribution
-// is identical. The draw stream differs from routing through ExpMechBuf,
-// which is the fast-sampler contract (fast mode pins its own goldens).
-func (st *mwemState) selectQueryFast(trueAns []float64, epsSelect float64, m *noise.Meter) int {
-	leaves := st.seg.Leaves()
-	st.total = st.seg.Total()
-	if st.total > 0 {
-		st.norm = st.scale / st.total
-	}
-	gum := st.expBuf[:len(st.scores)]
-	if !m.ExpMechGumbels("select", gum, epsSelect) {
-		return 0
-	}
-	lambda := epsSelect / 2 // sensitivity 1, as in the ExpMechBuf call
-	norm := st.norm
-	best, bi := math.Inf(-1), -1
-	if st.prefixW {
-		// Prefix workload: query i covers [0, i], so one running sum over
-		// the leaves yields every raw answer in order — no prefix table.
-		// The sum accumulates over all leaves (chosen queries included);
-		// only the score/argmax step is skipped for chosen ones.
-		ta, ch, g := trueAns[:len(leaves)], st.chosen[:len(leaves)], gum[:len(leaves)]
-		var run float64
-		for i, leaf := range leaves {
-			run += leaf
-			if ch[i] {
-				continue
-			}
-			score := math.Abs(ta[i] - run*norm)
-			if v := lambda*score + g[i]; v > best {
-				best, bi = v, i
-			}
-		}
-	} else {
-		st.ev.Reset(leaves)
-		tbl := st.ev.Table1D()
-		for i := range gum {
-			if st.chosen[i] {
-				continue
-			}
-			lo, hi := st.w.Range(i)
-			score := math.Abs(trueAns[i] - (tbl[hi+1]-tbl[lo])*norm)
-			if v := lambda*score + gum[i]; v > best {
-				best, bi = v, i
-			}
-		}
-	}
-	if bi < 0 {
-		bi = 0 // unreachable: rounds are clamped to the workload size
-	}
-	st.chosen[bi] = true
-	return bi
 }
 
 // replay applies one multiplicative-weights pass over the whole history,
@@ -399,7 +333,6 @@ type mwemPlan struct {
 	m       *MWEM
 	w       *workload.Workload
 	trueAns []float64
-	prefixW bool // workload.IsPrefix(w)
 	n       int
 	eps     float64
 	scale   float64
@@ -425,7 +358,7 @@ func (m *MWEM) Plan(x *vec.Vector, w *workload.Workload, eps float64) (Plan, err
 		return nil, err
 	}
 	p := &mwemPlan{
-		m: m, w: w, trueAns: trueAns, prefixW: workload.IsPrefix(w), n: x.N(),
+		m: m, w: w, trueAns: trueAns, n: x.N(),
 		eps: eps, sweeps: sweeps,
 		// Pside: the dataset scale is declared public side information
 		// (HayMMCZ16 Principle 7). Rside (ScaleRho > 0) ignores this value
@@ -482,22 +415,13 @@ func (p *mwemPlan) Execute(mt *noise.Meter, out []float64) error {
 
 	st := p.states.Get().(*mwemState)
 	defer p.states.Put(st)
-	st.bind(p.w, p.prefixW)
+	st.bind(p.w)
 	st.reset(scale)
 	epsRound := epsLeft / float64(rounds)
 
-	// The fused fast selection needs the segment tree (1D workloads only);
-	// 2D and legacy trials take the materializing path.
-	fastSelect := mt.Sampler() == noise.SamplerFast && st.seg != nil
-
 	for t := 0; t < rounds; t++ {
 		// Select the worst-approximated query with half the round budget.
-		var q int
-		if fastSelect {
-			q = st.selectQueryFast(p.trueAns, epsRound/2, mt)
-		} else {
-			q = st.selectQuery(p.trueAns, epsRound/2, mt)
-		}
+		q := st.selectQuery(p.trueAns, epsRound/2, mt)
 		// Measure it with the other half (noise scale 2/epsRound is
 		// sensitivity 1 over a spend of epsRound/2).
 		meas := p.trueAns[q] + mt.Laplace("measure", 2/epsRound, epsRound/2)

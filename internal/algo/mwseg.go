@@ -246,8 +246,8 @@ func (t *mulSegTree) MaterializeInto(out []float64) {
 
 // Leaves pushes every pending multiplier down and returns the live leaf
 // slice [0, n) — MaterializeInto minus the copy, for callers that only read
-// (MWEM's fused fast selection streams the leaves directly). The slice
-// aliases the tree and is invalidated by the next mutating call.
+// (MWEM's selection builds its prefix table straight from the leaves). The
+// slice aliases the tree and is invalidated by the next mutating call.
 func (t *mulSegTree) Leaves() []float64 {
 	t.pushDirtyTree(1)
 	return t.sum[t.m : t.m+t.n]

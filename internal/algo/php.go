@@ -58,28 +58,7 @@ type phpPlan struct {
 	eps1, eps2 float64
 	maxIter    int
 	epsPerIter float64
-	// recip[k] = 1/k: the fast-sampler score loop trades its two divisions
-	// per candidate for table multiplies. The products round differently
-	// than the divisions, so the legacy path keeps dividing and stays
-	// bit-identical; fast mode owns its stream (and goldens) anyway.
-	recip []float64
-	bufs  *sync.Pool // *phpScratch
-}
-
-// recipCache memoizes the 1/k table per n — a pure function of n, read-only
-// once built, shared by every PHP plan of the same domain size.
-var recipCache sync.Map // int -> []float64
-
-func recipTable(n int) []float64 {
-	if v, ok := recipCache.Load(n); ok {
-		return v.([]float64)
-	}
-	r := make([]float64, n+1)
-	for k := 1; k <= n; k++ {
-		r[k] = 1 / float64(k)
-	}
-	v, _ := recipCache.LoadOrStore(n, r)
-	return v.([]float64)
+	bufs       *sync.Pool // *phpScratch
 }
 
 // Plan implements Algorithm.
@@ -104,7 +83,6 @@ func (p *PHP) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, erro
 		prefix: prefixSums(x.Data), n: n,
 		eps1: eps1, eps2: (1 - rho) * eps,
 		maxIter: maxIter, epsPerIter: eps1 / float64(maxIter),
-		recip: recipTable(n),
 		bufs: scratchPool(scratchKey{mech: "PHP", sizes: [3]int{n}}, func() any {
 			return &phpScratch{scores: make([]float64, n), expBuf: make([]float64, n)}
 		}),
@@ -126,7 +104,6 @@ func (p *phpPlan) Execute(m *noise.Meter, out []float64) error {
 	// per-record sensitivity is at most 1.
 	parts := append(sc.parts[:0], phpInterval{0, p.n})
 	next := sc.next[:0]
-	fast := m.Sampler() == noise.SamplerFast
 	for iter := 0; iter < p.maxIter; iter++ {
 		next = next[:0]
 		label := idxLabel(splitLabels, iter)
@@ -136,39 +113,17 @@ func (p *phpPlan) Execute(m *noise.Meter, out []float64) error {
 				next = append(next, iv)
 				continue
 			}
-			var scores []float64
-			if fast {
-				// Single pass over the interval's prefix entries: endpoints
-				// hoisted, one prefix load per candidate, branchless-ish
-				// abs/min inline, indexed stores into the right-sized slice.
-				w := iv.hi - iv.lo
-				scores = sc.scores[:w-1]
-				pl, pr := p.prefix[iv.lo], p.prefix[iv.hi]
-				rec := p.recip
-				for j, pm := range p.prefix[iv.lo+1 : iv.hi] {
-					k := j + 1 // split point iv.lo + k
-					// math.Abs compiles to a branchless intrinsic, keeping the
-					// scoring loop free of data-dependent control flow.
-					d := math.Abs((pm-pl)*rec[k] - (pr-pm)*rec[w-k])
-					mw := float64(k)
-					if w-k < k {
-						mw = float64(w - k)
-					}
-					scores[j] = d * mw
-				}
-			} else {
-				scores = sc.scores[:0]
-				for mid := iv.lo + 1; mid < iv.hi; mid++ {
-					left := sum(iv.lo, mid)
-					right := sum(mid, iv.hi)
-					wl, wr := float64(mid-iv.lo), float64(iv.hi-mid)
-					// Balance of per-cell averages; rewards splits that separate
-					// regions of different density. math.Abs is a branchless
-					// intrinsic and bit-identical to the old helper here (the
-					// only divergence, -0 vs +0, is erased by exp in the
-					// mechanism), so the legacy stream is unchanged.
-					scores = append(scores, math.Abs(left/wl-right/wr)*minf(wl, wr))
-				}
+			scores := sc.scores[:0]
+			for mid := iv.lo + 1; mid < iv.hi; mid++ {
+				left := sum(iv.lo, mid)
+				right := sum(mid, iv.hi)
+				wl, wr := float64(mid-iv.lo), float64(iv.hi-mid)
+				// Balance of per-cell averages; rewards splits that separate
+				// regions of different density. math.Abs is a branchless
+				// intrinsic and bit-identical to the old helper here (the
+				// only divergence, -0 vs +0, is erased by exp in the
+				// mechanism), so the legacy stream is unchanged.
+				scores = append(scores, math.Abs(left/wl-right/wr)*minf(wl, wr))
 			}
 			pick := m.ExpMechBufPar(label, scores, 1, p.epsPerIter, sc.expBuf[:len(scores)])
 			split = true
@@ -185,29 +140,12 @@ func (p *phpPlan) Execute(m *noise.Meter, out []float64) error {
 	}
 	sc.parts, sc.next = parts, next
 
-	if fast {
-		// Batch the bucket measurements into one vector draw: same parallel
-		// "counts" charge, one sampler call instead of one per interval.
-		cnt := sc.expBuf[:len(parts)]
-		for i, iv := range parts {
-			cnt[i] = sum(iv.lo, iv.hi)
+	for _, iv := range parts {
+		est := sum(iv.lo, iv.hi) + m.LaplacePar("counts", 1/p.eps2, p.eps2)
+		if est < 0 {
+			est = 0
 		}
-		m.LaplaceVecParInto("counts", cnt, cnt, 1/p.eps2, p.eps2)
-		for i, iv := range parts {
-			est := cnt[i]
-			if est < 0 {
-				est = 0
-			}
-			uniformSpread(out, iv.lo, iv.hi, est)
-		}
-	} else {
-		for _, iv := range parts {
-			est := sum(iv.lo, iv.hi) + m.LaplacePar("counts", 1/p.eps2, p.eps2)
-			if est < 0 {
-				est = 0
-			}
-			uniformSpread(out, iv.lo, iv.hi, est)
-		}
+		uniformSpread(out, iv.lo, iv.hi, est)
 	}
 	return m.Err()
 }

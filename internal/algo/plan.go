@@ -3,7 +3,9 @@ package algo
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"weak"
 
 	"dpbench/internal/noise"
 	"dpbench/internal/transform"
@@ -56,15 +58,7 @@ func runPlan(a Algorithm, x *vec.Vector, w *workload.Workload, eps float64, rng 
 // plan-path counterpart of RunAudited, used by the experiment runner's trial
 // loop so auditing keeps amortizing structure across trials.
 func ExecuteAudited(a Algorithm, p Plan, eps float64, rng *rand.Rand, out []float64) error {
-	return ExecuteAuditedV(a, p, eps, rng, noise.SamplerLegacy, out)
-}
-
-// ExecuteAuditedV is ExecuteAudited with an explicit sampler version. The
-// ledger records budget charges, not noise values, so a fast-sampler trial
-// must pass the identical sum-to-eps and composition-plan checks a legacy
-// trial does (the audit cross-check test pins this).
-func ExecuteAuditedV(a Algorithm, p Plan, eps float64, rng *rand.Rand, v noise.SamplerVersion, out []float64) error {
-	m, err := noise.NewAuditedMeterV(eps, rng, v)
+	m, err := noise.NewAuditedMeter(eps, rng)
 	if err != nil {
 		return err
 	}
@@ -80,6 +74,11 @@ func ExecuteAuditedV(a Algorithm, p Plan, eps float64, rng *rand.Rand, v noise.S
 		return fmt.Errorf("algo: %s failed the budget audit: %w", a.Name(), err)
 	}
 	return nil
+}
+
+// ExecuteAuditedV is ExecuteAudited; the one sampler family needs no version.
+func ExecuteAuditedV(a Algorithm, p Plan, eps float64, rng *rand.Rand, _ noise.SamplerVersion, out []float64) error {
+	return ExecuteAudited(a, p, eps, rng, out)
 }
 
 // --- shared deterministic caches ---
@@ -100,15 +99,18 @@ func optimalBranchingCached(n, k int) int {
 
 // levelWeightsCache memoizes GreedyH's canonical level weights per (workload,
 // n, b). Workloads are shared across the cells of a sweep, so the O(q log n)
-// counting walk runs once per sweep instead of once per trial. Keying by
-// pointer pins the workload for the cache's lifetime, which is fine for the
-// benchmark's bounded workload set; the query count rides along in the key
-// so a workload grown after first use misses instead of returning weights
-// for its old query set.
+// counting walk runs once per sweep instead of once per trial. The key holds
+// the workload's query storage weakly (weak.Make of one pointer always
+// compares equal, so a reused workload hits) and a cleanup deletes the entry
+// once that storage is collected, so plans over fresh workloads pin nothing.
+// It keys on the storage rather than the workload because weak.Make is a
+// fatal error on a linker-allocated package-level Workload. The query count
+// rides along in the key so a workload grown after first use misses instead
+// of returning weights for its old query set.
 var levelWeightsCache sync.Map // levelWeightsKey -> []float64 (read-only)
 
 type levelWeightsKey struct {
-	w       *workload.Workload
+	queries weak.Pointer[int32]
 	n, b, q int
 }
 
@@ -116,17 +118,19 @@ func canonicalLevelWeightsCached(n, b int, w *workload.Workload) []float64 {
 	if w == nil {
 		return nil
 	}
-	key := levelWeightsKey{w: w, n: n, b: b, q: w.Size()}
+	qk := workload.QueryKey(w)
+	if qk == nil {
+		return CanonicalLevelWeights(n, b, w) // no queries to count
+	}
+	key := levelWeightsKey{queries: weak.Make(qk), n: n, b: b, q: w.Size()}
 	if v, ok := levelWeightsCache.Load(key); ok {
 		return v.([]float64)
 	}
-	weights := CanonicalLevelWeights(n, b, w)
-	if weights == nil {
-		// Cache the miss too (non-1D or mismatched workloads), as a typed nil.
-		levelWeightsCache.Store(key, []float64(nil))
-		return nil
+	// A miss (non-1D or mismatched workloads) is cached too, as a typed nil.
+	v, loaded := levelWeightsCache.LoadOrStore(key, CanonicalLevelWeights(n, b, w))
+	if !loaded {
+		runtime.AddCleanup(qk, func(k levelWeightsKey) { levelWeightsCache.Delete(k) }, key)
 	}
-	v, _ := levelWeightsCache.LoadOrStore(key, weights)
 	return v.([]float64)
 }
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dpbench/internal/noise"
 	"dpbench/internal/vec"
@@ -410,5 +412,58 @@ func TestMWEMPoolKeyedByShape(t *testing.T) {
 	}
 	if added := mwemPools() - before; added > 1 {
 		t.Errorf("%d nil-workload MWEM plans added %d MWEM pools, want at most 1", plans, added)
+	}
+}
+
+// levelWeightsStatic is a linker-allocated workload, valid as the zero
+// value with Dims set; weak.Make on its address is a fatal error.
+var levelWeightsStatic = workload.Workload{Dims: []int{64}}
+
+// TestGreedyHLevelWeightsFreeDeadWorkloads checks that GreedyH's
+// level-weights cache holds its workloads weakly: a reused workload still
+// hits, a package-level one included, and plans over fresh workloads leave
+// no entries once those workloads are collected. A cache keyed by the
+// workload pointer would keep one entry, and its workload, per plan for the
+// life of the process.
+func TestGreedyHLevelWeightsFreeDeadWorkloads(t *testing.T) {
+	const n, b, plans = 64, 5, 100 // a branching factor no other test plans
+	entries := func() int {
+		count := 0
+		levelWeightsCache.Range(func(k, _ any) bool {
+			if k := k.(levelWeightsKey); k.n == n && k.b == b {
+				count++
+			}
+			return true
+		})
+		return count
+	}
+	if levelWeightsStatic.Size() == 0 {
+		for k := 0; k < n; k++ {
+			levelWeightsStatic.AddRange(0, k)
+		}
+	}
+	for _, w := range []*workload.Workload{workload.Prefix(n), &levelWeightsStatic} {
+		first, again := canonicalLevelWeightsCached(n, b, w), canonicalLevelWeightsCached(n, b, w)
+		if len(first) == 0 || &first[0] != &again[0] {
+			t.Fatalf("a reused workload (%p) missed the level-weights cache", w)
+		}
+	}
+	// The package-level workload stays reachable, and so does its entry.
+	const static = 1
+
+	x := planVec1D(t, 37, n)
+	for i := 0; i < plans; i++ {
+		if _, err := (&GreedyH{B: b}).Plan(x, workload.Prefix(n), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cleanups run asynchronously after the collection that frees their
+	// workload, so poll.
+	for deadline := time.Now().Add(time.Second); entries() > static && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if left := entries() - static; left != 0 {
+		t.Fatalf("%d level-weights entries outlive their workloads after GC, want 0", left)
 	}
 }

@@ -131,7 +131,7 @@ func (vr *verifier) evalCall(call *ast.CallExpr, st *state) []ev {
 
 // delegatedPlanEps recognizes an unmodeled `recv.Plan(...)` call carrying
 // exactly one float64 argument — the mechanism entry-point shape dispatched
-// through an interface (a wrapper like the sampler's s.inner.Plan). The
+// through an interface (runPlan's a.Plan). The
 // budget that call received is the delegated-plan contract attached to its
 // opaque result.
 func (vr *verifier) delegatedPlanEps(call *ast.CallExpr, vals []value) (rat, bool) {
@@ -682,7 +682,7 @@ func (vr *verifier) runInline(call *ast.CallExpr, decl *ast.FuncDecl, recv value
 type spendSig struct {
 	epsArg int
 	par    bool
-	ret    byte // f float, i int, b bool(poison-on-false), v void, s slice
+	ret    byte // f float, i int, v void, s slice
 }
 
 // spendOps is the one list of the Meter methods that charge under a label;
@@ -701,7 +701,6 @@ var spendOps = map[string]spendSig{
 	"ExpMechPar":           {3, true, 'i'},
 	"ExpMechBuf":           {3, false, 'i'},
 	"ExpMechBufPar":        {3, true, 'i'},
-	"ExpMechGumbels":       {2, false, 'b'},
 	"Charge":               {1, false, 'v'},
 	"ChargePar":            {1, true, 'v'},
 }
@@ -804,9 +803,9 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 		return ev{v: numVal(ms.budget), st: st}
 	case "Spent":
 		return ev{v: numVal(ms.total()), st: st}
-	case "Release", "SetSampler":
+	case "Release":
 		return ev{v: opaqueVal(), st: st}
-	case "Sampler", "Rand", "Ledger", "Audited":
+	case "Rand", "Ledger", "Audited":
 		return ev{v: vr.memoValue(call, st), st: st}
 	}
 	vr.abort(call, "unmodeled meter method %s", name)
@@ -842,8 +841,6 @@ func (vr *verifier) spendResult(ret byte, call *ast.CallExpr, st *state) value {
 		id := vr.at.fresh("draw", true)
 		st.cons.addLower(id, 0, false, true)
 		return numVal(ratAtom(id))
-	case 'b':
-		return value{kind: vBool, bAtom: vr.at.fresh("b:gumbel", false), poisonOnFalse: true}
 	case 's':
 		return opaqueSlice(triTrue)
 	}

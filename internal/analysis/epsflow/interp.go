@@ -426,8 +426,8 @@ func (vr *verifier) deferStmt(s *ast.DeferStmt, st *state) []outcome {
 	if sel, ok := s.Call.Fun.(*ast.SelectorExpr); ok {
 		if name, ok := meterMethodName(vr.pass.TypesInfo, s.Call); ok {
 			switch name {
-			case "SetSampler", "Release":
-				// Void and charge-free: budget-irrelevant whenever they run.
+			case "Release":
+				// Void and charge-free: budget-irrelevant whenever it runs.
 				return fallOut(st)
 			case "Close":
 			default:
@@ -580,16 +580,9 @@ func (vr *verifier) boolBranch(v value, st *state) (ts, fs []*state) {
 		fSt := st.clone()
 		st.cons.bool[v.bAtom] = true
 		fSt.cons.bool[v.bAtom] = false
-		if v.poisonOnFalse {
-			fSt.poisoned = true
-		}
 		return []*state{st}, []*state{fSt}
 	}
-	fSt := st.clone()
-	if v.poisonOnFalse {
-		fSt.poisoned = true
-	}
-	return []*state{st}, []*state{fSt}
+	return []*state{st}, []*state{st.clone()}
 }
 
 func (vr *verifier) condCmp(e *ast.BinaryExpr, st *state) (ts, fs []*state) {

@@ -178,7 +178,7 @@ func allowedDynamic(m *noise.Meter, prefix string, u float64) {
 	m.Laplace(prefix+"x", 1, u)
 }
 
-// KindMech covers LaplaceVecParInto and ExpMechGumbels, the kind half of
+// KindMech covers LaplaceVecParInto and ExpMech, the kind half of
 // the rule, and the labels sub-meters close under.
 type KindMech struct{}
 
@@ -200,15 +200,13 @@ func (k *KindMech) Plan(n int, eps float64) (*kindPlan, error) {
 	return &kindPlan{u: eps / 6}, nil
 }
 
-// Execute draws through LaplaceVecParInto and ExpMechGumbels, charges a
+// Execute draws through LaplaceVecParInto and ExpMech, charges a
 // sequential-only label in parallel, and arms two sub-meters in place.
 func (p *kindPlan) Execute(m *noise.Meter, out []float64) error {
 	m.LaplaceVecParInto("counts", out, out, 1/p.u, p.u)
 	m.LaplaceVecParInto("countz", out, out, 1/p.u, p.u) // want `label "countz" \(parallel, from LaplaceVecParInto\) is not declared in KindMech's CompositionPlan`
-	if !m.ExpMechGumbels("selekt", out, p.u) {          // want `label "selekt" \(sequential, from ExpMechGumbels\) is not declared in KindMech's CompositionPlan`
-		return m.Err()
-	}
-	m.LaplacePar("select", 1, p.u) // want `label "select" \(parallel, from LaplacePar\) is not declared in KindMech's CompositionPlan, which declares it sequential`
+	m.ExpMech("selekt", out, 1, p.u)                    // want `label "selekt" \(sequential, from ExpMech\) is not declared in KindMech's CompositionPlan`
+	m.LaplacePar("select", 1, p.u)                      // want `label "select" \(parallel, from LaplacePar\) is not declared in KindMech's CompositionPlan, which declares it sequential`
 	var sub noise.Meter
 	m.ResetSub(&sub, "stage2", p.u, false)
 	sub.Laplace("x", 1, p.u)

@@ -89,8 +89,6 @@ type value struct {
 	// every concrete Execute in the package charges exactly its plan's eps.
 	planEps    rat
 	planEpsSet bool
-
-	poisonOnFalse bool // ExpMechGumbels result: branching false poisons
 }
 
 func tupleVal(vs ...value) value { return value{kind: vTuple, tuple: vs} }

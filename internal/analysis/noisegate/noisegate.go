@@ -12,12 +12,7 @@
 //     noise.Meter.Rand() call, the declared zero-cost tie-breaking path;
 //   - math.Log / math.Exp (and Log1p / Expm1) applied to an expression that
 //     contains a raw draw: hand-rolled inverse-CDF noise synthesis bypasses
-//     both the accountant and the noise package's numerical contracts;
-//   - any call of the noise package's raw fast-sampler functions (noise.Fast*):
-//     the sanctioned entry points are the Meter methods, which both charge the
-//     ledger and dispatch on the meter's SamplerVersion — a direct FastLaplace
-//     or FastGumbelVecInto call would draw unmetered AND ignore the version
-//     gate that keeps legacy runs bit-identical.
+//     both the accountant and the noise package's numerical contracts.
 //
 // Mentioning the *rand.Rand type in a signature is fine — the Algorithm
 // interface threads an rng to the meter constructor — only draws and
@@ -42,10 +37,6 @@ var Analyzer = &analysis.Analyzer{
 
 const scope = "dpbench/internal/algo"
 
-// noisePkg is the noise package itself, whose raw fast-sampler surface is
-// gated behind Meter methods.
-const noisePkg = "dpbench/internal/noise"
-
 func randPkg(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
 
 func run(pass *analysis.Pass) error {
@@ -57,7 +48,6 @@ func run(pass *analysis.Pass) error {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				checkSelector(pass, n)
-				checkFastSampler(pass, n)
 			case *ast.CallExpr:
 				checkSynthesis(pass, n)
 			}
@@ -90,27 +80,6 @@ func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
 		}
 	}
 	pass.Reportf(sel.Pos(), "direct use of %s.%s: privacy-relevant randomness in internal/algo must flow through an accountant-backed noise.Meter", obj.Pkg().Path(), obj.Name())
-}
-
-// checkFastSampler flags direct references to the noise package's raw
-// fast-sampler functions (noise.Fast*). Mechanism code must draw through the
-// Meter methods, which charge the ledger and dispatch on the meter's
-// SamplerVersion; Meter methods named Fast-nothing (ExpMechGumbels and
-// friends) are the sanctioned fused entry points and are not package
-// functions, so they pass.
-func checkFastSampler(pass *analysis.Pass, sel *ast.SelectorExpr) {
-	obj := pass.TypesInfo.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != noisePkg {
-		return
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || !strings.HasPrefix(fn.Name(), "Fast") {
-		return
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return
-	}
-	pass.Reportf(sel.Pos(), "raw fast-sampler call noise.%s: draw through a noise.Meter instead, so the spend is charged and the meter's SamplerVersion (not the call site) decides the stream", fn.Name())
 }
 
 // isMeterRandCall reports whether e is a call of noise.Meter.Rand.

@@ -59,20 +59,3 @@ func allowedLegacy(rng *rand.Rand) float64 {
 	//lint:allow noisegate legacy-sampler fixture: keeps the historical draw sequence
 	return rng.Float64()
 }
-
-// The raw fast-sampler surface is gated the same way: Meter methods are the
-// only sanctioned route, so the version gate and the ledger both see the draw.
-func fastBypass(rng *rand.Rand, dst []float64) float64 {
-	noise.FastGumbelVecInto(rng, dst) // want `raw fast-sampler call noise\.FastGumbelVecInto`
-	return noise.FastLaplace(rng, 1)  // want `raw fast-sampler call noise\.FastLaplace`
-}
-
-func fastBypassValue() func(*rand.Rand, float64) int64 {
-	return noise.FastGeometric // want `raw fast-sampler call noise\.FastGeometric`
-}
-
-// Drawing the same primitives through the meter is the sanctioned pattern.
-func cleanFast(m *noise.Meter, dst []float64) bool {
-	_ = m.Laplace("x", 1, 0.1)
-	return m.ExpMechGumbels("sel", dst, 0.1)
-}

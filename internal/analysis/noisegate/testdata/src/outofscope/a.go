@@ -4,16 +4,8 @@ package experiments
 
 import (
 	"math/rand"
-
-	"dpbench/internal/noise"
 )
 
 func seeded() float64 {
 	return rand.New(rand.NewSource(1)).Float64()
-}
-
-// The fast-sampler gate is also scoped to internal/algo: the noise package's
-// own tests and benchmarks call the raw samplers freely.
-func fastElsewhere(rng *rand.Rand) float64 {
-	return noise.FastLaplace(rng, 2)
 }

@@ -364,7 +364,6 @@ var meterDstArg = map[string]struct {
 	"LaplaceVecInto":       {2, dataflow.Pub},
 	"LaplaceVecParInto":    {2, dataflow.Pub},
 	"LaplaceMechanismInto": {2, dataflow.Pub},
-	"ExpMechGumbels":       {2, dataflow.Draw},
 }
 
 // Call classifies meter methods, the vec shape surface, error and response

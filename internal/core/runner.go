@@ -51,12 +51,6 @@ type Config struct {
 	// Results are bit-identical to an unaudited run — the meter wraps the
 	// noise stream without reordering it.
 	Audit bool
-	// Sampler selects the noise-sampling implementation family every trial's
-	// meter routes draws through. The zero value is noise.SamplerLegacy, the
-	// bit-identical golden/repro path; noise.SamplerFast trades the legacy
-	// stream for table-accelerated samplers (same distributions, different
-	// draws — see the noise package).
-	Sampler noise.SamplerVersion
 }
 
 // AlgResult holds every scaled-error observation for one algorithm in one
@@ -190,9 +184,9 @@ func runCell(cfg Config, p runPlan, plan algo.Plan, x *vec.Vector, trueAns []flo
 	est := sc.estBuf(x.N())
 	var err error
 	if cfg.Audit {
-		err = algo.ExecuteAuditedV(a, plan, cfg.Eps, runRNG, cfg.Sampler, est)
+		err = algo.ExecuteAudited(a, plan, cfg.Eps, runRNG, est)
 	} else {
-		err = plan.Execute(noise.NewMeterV(cfg.Eps, runRNG, cfg.Sampler), est)
+		err = plan.Execute(noise.NewMeter(cfg.Eps, runRNG), est)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("core: %s on %s: %w", a.Name(), cfg.Dataset.Name, err)

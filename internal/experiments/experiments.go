@@ -18,7 +18,6 @@ import (
 	"dpbench/internal/algo"
 	"dpbench/internal/core"
 	"dpbench/internal/dataset"
-	"dpbench/internal/noise"
 	"dpbench/internal/stats"
 	"dpbench/internal/workload"
 )
@@ -50,11 +49,6 @@ type Options struct {
 	// cells finish, no new cells start, and the context's error propagates
 	// out of the experiment. Nil means context.Background().
 	Ctx context.Context
-	// Sampler selects the noise-sampling family (dpbench -sampler). The zero
-	// value is the bit-identical legacy default; noise.SamplerFast runs the
-	// table-accelerated samplers — same distributions, different stream, so
-	// figures shift within their error bars but orderings are preserved.
-	Sampler noise.SamplerVersion
 }
 
 func (o Options) ctx() context.Context {
@@ -224,7 +218,6 @@ func (o Options) sweep(algos []algo.Algorithm, datasets []dataset.Dataset, dims 
 			Seed:        o.Seed + int64(scale),
 			Parallelism: workers / grid,
 			Audit:       o.Audit,
-			Sampler:     o.Sampler,
 		}
 		results, err := core.RunParallel(o.ctx(), cfg, 0)
 		if err != nil {

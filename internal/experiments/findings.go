@@ -59,7 +59,6 @@ func Finding6(o Options) (map[string]float64, error) {
 			Dataset: d, Dims: []int{n}, Scale: scale, Eps: Eps,
 			Workload: w, Algorithms: variants[name],
 			DataSamples: o.samples(), Trials: o.trials(), Seed: o.Seed + 60, Audit: o.Audit,
-			Sampler: o.Sampler,
 		}
 		results, err := core.RunParallel(o.ctx(), cfg, o.workers())
 		if err != nil {
@@ -103,7 +102,6 @@ func Finding7(o Options) (map[int]float64, error) {
 				Dataset: d, Dims: []int{n}, Scale: scale, Eps: Eps,
 				Workload: w, Algorithms: algos,
 				DataSamples: o.samples(), Trials: o.trials(), Seed: o.Seed + int64(scale) + 70, Audit: o.Audit,
-				Sampler: o.Sampler,
 			}
 			results, err := core.RunParallel(o.ctx(), cfg, o.workers())
 			if err != nil {

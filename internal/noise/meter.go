@@ -26,10 +26,9 @@ import (
 // performs exactly the underlying package-level draw with the caller's scale,
 // so outputs are bit-identical with and without auditing.
 type Meter struct {
-	rng     *rand.Rand
-	total   float64
-	sampler SamplerVersion
-	acct    *Accountant // nil = metering off (the fast path)
+	rng   *rand.Rand
+	total float64
+	acct  *Accountant // nil = metering off (the fast path)
 
 	// Sub-meter bookkeeping: a child charges its parent once, at Close.
 	parent   *Meter
@@ -51,15 +50,8 @@ func NewMeter(eps float64, rng *rand.Rand) *Meter {
 	return m
 }
 
-// NewMeterV is NewMeter with an explicit sampler version: SamplerLegacy
-// reproduces NewMeter exactly, SamplerFast routes every draw through the
-// table-accelerated samplers. The version is part of the meter (and inherited
-// by sub-meters) so one plan execution uses one sampler family throughout.
-func NewMeterV(eps float64, rng *rand.Rand, v SamplerVersion) *Meter {
-	m := NewMeter(eps, rng)
-	m.sampler = v
-	return m
-}
+// NewMeterV is NewMeter; the one sampler family needs no version.
+func NewMeterV(eps float64, rng *rand.Rand, _ SamplerVersion) *Meter { return NewMeter(eps, rng) }
 
 // NewAuditedMeter returns a meter whose every charge is recorded by a pooled
 // Accountant with the given total budget. Call Release when done with the
@@ -70,27 +62,6 @@ func NewAuditedMeter(eps float64, rng *rand.Rand) (*Meter, error) {
 	}
 	return &Meter{rng: rng, total: eps, acct: newPooledAccountant(eps)}, nil
 }
-
-// NewAuditedMeterV is NewAuditedMeter with an explicit sampler version.
-// Budget charges are independent of the sampler, so a fast audited run
-// produces the same ledger totals as a legacy one.
-func NewAuditedMeterV(eps float64, rng *rand.Rand, v SamplerVersion) (*Meter, error) {
-	m, err := NewAuditedMeter(eps, rng)
-	if err != nil {
-		return nil, err
-	}
-	m.sampler = v
-	return m, nil
-}
-
-// Sampler returns the meter's sampler version.
-func (m *Meter) Sampler() SamplerVersion { return m.sampler }
-
-// SetSampler switches the meter's sampler version. Plans that carry a pinned
-// version (release.WithSampler) set it on entry to Execute; it must not be
-// changed while sub-meters are open, since children copy the version when
-// created.
-func (m *Meter) SetSampler(v SamplerVersion) { m.sampler = v }
 
 // acctPool recycles accountants (and their ledger slices) across audited
 // trials, so audit mode's per-trial cost is appends into retained capacity.
@@ -173,27 +144,7 @@ func (m *Meter) charge(label string, eps float64, parallel bool) {
 //dp:hotpath
 func (m *Meter) Laplace(label string, scale, eps float64) float64 {
 	m.charge(label, eps, false)
-	return m.laplace(scale)
-}
-
-// laplace dispatches one scalar Laplace draw to the meter's sampler family.
-//
-//dp:hotpath
-func (m *Meter) laplace(scale float64) float64 {
-	if m.sampler == SamplerFast {
-		return FastLaplace(m.rng, scale)
-	}
 	return Laplace(m.rng, scale)
-}
-
-// laplaceVecInto dispatches one vector Laplace draw to the sampler family.
-//
-//dp:hotpath
-func (m *Meter) laplaceVecInto(dst, x []float64, scale float64) []float64 {
-	if m.sampler == SamplerFast {
-		return FastLaplaceVecInto(m.rng, dst, x, scale)
-	}
-	return LaplaceVecInto(m.rng, dst, x, scale)
 }
 
 // LaplacePar is Laplace charged under parallel composition: repeated draws
@@ -206,7 +157,7 @@ func (m *Meter) laplaceVecInto(dst, x []float64, scale float64) []float64 {
 //dp:hotpath
 func (m *Meter) LaplacePar(label string, scale, eps float64) float64 {
 	m.charge(label, eps, true)
-	return m.laplace(scale)
+	return Laplace(m.rng, scale)
 }
 
 // LaplaceVec adds independent Laplace(scale) noise to each element of x,
@@ -214,7 +165,7 @@ func (m *Meter) LaplacePar(label string, scale, eps float64) float64 {
 // vector query compose by its total L1 sensitivity, not per component).
 func (m *Meter) LaplaceVec(label string, x []float64, scale, eps float64) []float64 {
 	m.charge(label, eps, false)
-	return m.laplaceVecInto(make([]float64, len(x)), x, scale)
+	return LaplaceVecInto(m.rng, make([]float64, len(x)), x, scale)
 }
 
 // LaplaceVecInto is LaplaceVec writing into a caller-provided destination, so
@@ -224,7 +175,7 @@ func (m *Meter) LaplaceVec(label string, x []float64, scale, eps float64) []floa
 //dp:hotpath
 func (m *Meter) LaplaceVecInto(label string, dst, x []float64, scale, eps float64) []float64 {
 	m.charge(label, eps, false)
-	return m.laplaceVecInto(dst, x, scale)
+	return LaplaceVecInto(m.rng, dst, x, scale)
 }
 
 // LaplaceVecParInto is LaplaceVecInto charged under parallel composition:
@@ -235,7 +186,7 @@ func (m *Meter) LaplaceVecInto(label string, dst, x []float64, scale, eps float6
 //dp:hotpath
 func (m *Meter) LaplaceVecParInto(label string, dst, x []float64, scale, eps float64) []float64 {
 	m.charge(label, eps, true)
-	return m.laplaceVecInto(dst, x, scale)
+	return LaplaceVecInto(m.rng, dst, x, scale)
 }
 
 // LaplaceMechanism perturbs f with noise calibrated to the given L1
@@ -249,7 +200,7 @@ func (m *Meter) LaplaceMechanism(label string, f []float64, sensitivity, eps flo
 		return nil
 	}
 	m.charge(label, eps, false)
-	return m.laplaceVecInto(make([]float64, len(f)), f, sensitivity/eps)
+	return LaplaceVecInto(m.rng, make([]float64, len(f)), f, sensitivity/eps)
 }
 
 // LaplaceMechanismInto is LaplaceMechanism writing into a caller-provided
@@ -263,7 +214,7 @@ func (m *Meter) LaplaceMechanismInto(label string, dst, f []float64, sensitivity
 		return nil
 	}
 	m.charge(label, eps, false)
-	return m.laplaceVecInto(dst, f, sensitivity/eps)
+	return LaplaceVecInto(m.rng, dst, f, sensitivity/eps)
 }
 
 // Geometric draws from the two-sided geometric (discrete Laplace)
@@ -281,9 +232,6 @@ func (m *Meter) Geometric(label string, sensitivity, eps float64) int64 {
 		return 0
 	}
 	m.charge(label, eps, false)
-	if m.sampler == SamplerFast {
-		return FastGeometric(m.rng, sensitivity/eps)
-	}
 	return Geometric(m.rng, sensitivity/eps)
 }
 
@@ -318,49 +266,13 @@ func (m *Meter) ExpMechBufPar(label string, scores []float64, sensitivity, eps f
 
 //dp:hotpath
 func (m *Meter) expMech(label string, scores []float64, sensitivity, eps float64, weights []float64, parallel bool) int {
-	var idx int
-	var err error
-	if m.sampler == SamplerFast {
-		// Gumbel-max top-1: same selection distribution, no per-score exp,
-		// and the weights buffer is never touched.
-		idx, err = FastExpMechTop1(m.rng, scores, sensitivity, eps)
-	} else {
-		idx, err = ExpMechBuf(m.rng, scores, sensitivity, eps, weights)
-	}
+	idx, err := ExpMechBuf(m.rng, scores, sensitivity, eps, weights)
 	if err != nil {
 		m.fail(err)
 		return 0
 	}
 	m.charge(label, eps, parallel)
 	return idx
-}
-
-// ExpMechGumbels charges eps sequentially under label and fills dst with iid
-// standard Gumbel draws from the fast sampler — the raw material of a fused
-// Gumbel-max selection: argmax_i of eps*score_i/(2*sens) + dst[i] samples the
-// exponential mechanism's distribution exactly, so a caller that computes
-// scores on the fly can fuse scoring, perturbation and the max-reduction into
-// one pass instead of materializing a score vector for ExpMechBuf. It is a
-// fast-sampler Meter entry point (the only sanctioned route to the fast
-// Gumbel stream from mechanism code; noisegate enforces this): callers gate
-// on Sampler() == SamplerFast and take the ExpMech* path otherwise. Invalid
-// input (empty dst, non-positive eps) is recorded as a meter error and false
-// returned with dst untouched — a caller falling through would select index 0,
-// matching the ExpMech error path.
-//
-//dp:hotpath
-func (m *Meter) ExpMechGumbels(label string, dst []float64, eps float64) bool {
-	if len(dst) == 0 {
-		m.fail(fmt.Errorf("noise: empty score list in exponential mechanism"))
-		return false
-	}
-	if eps <= 0 {
-		m.fail(fmt.Errorf("noise: non-positive epsilon %v in exponential mechanism", eps))
-		return false
-	}
-	m.charge(label, eps, false)
-	FastGumbelVecInto(m.rng, dst)
-	return true
 }
 
 // Sub opens a sequentially composed sub-meter holding the fraction frac of
@@ -393,7 +305,7 @@ func (m *Meter) sub(label string, eps float64, parallel bool) *Meter {
 }
 
 func (m *Meter) initSub(c *Meter, label string, eps float64, parallel bool) {
-	*c = Meter{rng: m.rng, total: eps, sampler: m.sampler, parent: m, label: label, parallel: parallel}
+	*c = Meter{rng: m.rng, total: eps, parent: m, label: label, parallel: parallel}
 	if eps <= 0 {
 		c.fail(fmt.Errorf("noise: non-positive sub-meter budget %v for %q", eps, label))
 		return

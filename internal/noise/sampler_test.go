@@ -2,20 +2,16 @@ package noise
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"dpbench/internal/stats"
 )
 
-// The fast samplers draw a different stream than the legacy exp/log samplers
-// by construction, so they cannot be pinned by the legacy goldens. Instead
-// this file pins them distributionally at fixed seeds: Kolmogorov-Smirnov
-// against the exact continuous CDFs (Laplace, Gumbel), Pearson chi-square
-// against the exact discrete pmf (two-sided geometric), and chi-square over
-// selection frequencies against the exact softmax (exponential mechanism).
-// Fixed seeds make every test deterministic, so a table or interpolation
-// regression fails CI outright rather than flaking.
+// The legacy goldens pin the samplers' streams bit for bit; this file pins
+// their distributions at fixed seeds: Kolmogorov-Smirnov against the exact
+// Laplace CDF and Pearson chi-square against the exact two-sided geometric
+// pmf. Fixed seeds make every test deterministic, so a sampler regression
+// fails CI outright rather than flaking.
 
 func laplaceCDF(scale float64) func(float64) float64 {
 	return func(x float64) float64 {
@@ -26,72 +22,41 @@ func laplaceCDF(scale float64) func(float64) float64 {
 	}
 }
 
-func gumbelCDF(x float64) float64 { return math.Exp(-math.Exp(-x)) }
-
-func TestSamplerVersionStringParse(t *testing.T) {
-	for _, v := range []SamplerVersion{SamplerLegacy, SamplerFast} {
-		got, err := ParseSamplerVersion(v.String())
-		if err != nil || got != v {
-			t.Fatalf("round-trip of %v: got %v, err %v", v, got, err)
-		}
-	}
-	if v, err := ParseSamplerVersion(""); err != nil || v != SamplerLegacy {
-		t.Fatalf("empty string must parse as legacy, got %v, err %v", v, err)
-	}
-	if _, err := ParseSamplerVersion("turbo"); err == nil || !strings.Contains(err.Error(), "turbo") {
-		t.Fatalf("unknown version must fail naming the input, got %v", err)
-	}
-	if s := SamplerVersion(9).String(); !strings.Contains(s, "9") {
-		t.Fatalf("out-of-range String() = %q", s)
-	}
-}
-
-func TestFastLaplaceKS(t *testing.T) {
+func TestLaplaceKS(t *testing.T) {
 	const n, scale = 200_000, 2.5
 	rng := NewRand(20260808)
 	sample := make([]float64, n)
 	for i := range sample {
-		sample[i] = FastLaplace(rng, scale)
+		sample[i] = Laplace(rng, scale)
 	}
 	d := stats.KSStatistic(sample, laplaceCDF(scale))
 	if crit := stats.KSCriticalValue(n, 1e-3); d > crit {
-		t.Fatalf("FastLaplace KS distance %v exceeds critical %v", d, crit)
+		t.Fatalf("Laplace KS distance %v exceeds critical %v", d, crit)
 	}
-	if FastLaplace(rng, 0) != 0 || FastLaplace(rng, -1) != 0 {
+	if Laplace(rng, 0) != 0 || Laplace(rng, -1) != 0 {
 		t.Fatal("non-positive scale must yield 0")
 	}
 }
 
-func TestFastLaplaceVecKS(t *testing.T) {
+func TestLaplaceVecKS(t *testing.T) {
 	const n, scale = 200_000, 0.75
 	rng := NewRand(31)
 	x := make([]float64, n)
 	dst := make([]float64, n)
-	FastLaplaceVecInto(rng, dst, x, scale)
+	LaplaceVecInto(rng, dst, x, scale)
 	d := stats.KSStatistic(dst, laplaceCDF(scale))
 	if crit := stats.KSCriticalValue(n, 1e-3); d > crit {
-		t.Fatalf("FastLaplaceVecInto KS distance %v exceeds critical %v", d, crit)
+		t.Fatalf("LaplaceVecInto KS distance %v exceeds critical %v", d, crit)
 	}
 	// A non-positive scale passes the input through unchanged.
 	x[0], x[1] = 3, -7
-	FastLaplaceVecInto(rng, dst, x, 0)
+	LaplaceVecInto(rng, dst, x, 0)
 	if dst[0] != 3 || dst[1] != -7 {
 		t.Fatal("zero scale must copy the input")
 	}
 }
 
-func TestFastGumbelKS(t *testing.T) {
-	const n = 200_000
-	rng := NewRand(77)
-	sample := make([]float64, n)
-	FastGumbelVecInto(rng, sample)
-	d := stats.KSStatistic(sample, gumbelCDF)
-	if crit := stats.KSCriticalValue(n, 1e-3); d > crit {
-		t.Fatalf("FastGumbelVecInto KS distance %v exceeds critical %v", d, crit)
-	}
-}
-
-func TestFastGeometricChiSquare(t *testing.T) {
+func TestGeometricChiSquare(t *testing.T) {
 	const (
 		n     = 200_000
 		scale = 2.0
@@ -100,7 +65,7 @@ func TestFastGeometricChiSquare(t *testing.T) {
 	rng := NewRand(5)
 	counts := make(map[int64]float64)
 	for i := 0; i < n; i++ {
-		counts[FastGeometric(rng, scale)]++
+		counts[Geometric(rng, scale)]++
 	}
 	alpha := math.Exp(-1 / scale)
 	p0 := (1 - alpha) / (1 + alpha)
@@ -124,141 +89,10 @@ func TestFastGeometricChiSquare(t *testing.T) {
 	expected = append(expected, n*tailMass)
 	x2 := stats.ChiSquareStatistic(observed, expected)
 	if crit := stats.ChiSquareCriticalValue(len(observed)-1, 1e-3); !(x2 < crit) {
-		t.Fatalf("FastGeometric chi-square %v exceeds critical %v", x2, crit)
+		t.Fatalf("Geometric chi-square %v exceeds critical %v", x2, crit)
 	}
-	if FastGeometric(rng, 0) != 0 || FastGeometric(rng, -2) != 0 {
+	if Geometric(rng, 0) != 0 || Geometric(rng, -2) != 0 {
 		t.Fatal("non-positive scale must yield 0")
-	}
-}
-
-// TestFastExpMechTop1Distribution checks that the Gumbel-max selection hits
-// each index with its exact softmax probability: with sensitivity 1 and
-// epsilon 2 the weight of score s is exp(s), so the selection frequencies
-// over many independent draws must pass a chi-square test against softmax.
-func TestFastExpMechTop1Distribution(t *testing.T) {
-	const n = 200_000
-	scores := []float64{0, 0.5, 1.0, 1.5, 2.0}
-	want := make([]float64, len(scores))
-	var z float64
-	for i, s := range scores {
-		want[i] = math.Exp(s)
-		z += want[i]
-	}
-	rng := NewRand(123)
-	observed := make([]float64, len(scores))
-	for i := 0; i < n; i++ {
-		idx, err := FastExpMechTop1(rng, scores, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		observed[idx]++
-	}
-	expected := make([]float64, len(scores))
-	for i := range want {
-		expected[i] = n * want[i] / z
-	}
-	x2 := stats.ChiSquareStatistic(observed, expected)
-	if crit := stats.ChiSquareCriticalValue(len(scores)-1, 1e-3); !(x2 < crit) {
-		t.Fatalf("FastExpMechTop1 chi-square %v exceeds critical %v (observed %v, expected %v)",
-			x2, crit, observed, expected)
-	}
-}
-
-func TestFastExpMechTop1Validation(t *testing.T) {
-	rng := NewRand(9)
-	if _, err := FastExpMechTop1(rng, nil, 1, 1); err == nil {
-		t.Fatal("empty scores must fail")
-	}
-	if _, err := FastExpMechTop1(rng, []float64{1, 2}, 1, 0); err == nil {
-		t.Fatal("non-positive epsilon must fail")
-	}
-	if idx, err := FastExpMechTop1(rng, []float64{4}, 1, 1); err != nil || idx != 0 {
-		t.Fatalf("single candidate must select 0 without error, got %d, %v", idx, err)
-	}
-	// Infinite epsilon degrades to a uniform argmax over the maximal scores.
-	for i := 0; i < 100; i++ {
-		idx, err := FastExpMechTop1(rng, []float64{1, 3, 3, 0}, 1, math.Inf(1))
-		if err != nil || (idx != 1 && idx != 2) {
-			t.Fatalf("infinite epsilon must pick a maximal score, got %d, %v", idx, err)
-		}
-	}
-	// -Inf scores (MWEM's already-chosen queries) can never win while a
-	// finite score exists.
-	scores := []float64{math.Inf(-1), 0, math.Inf(-1)}
-	for i := 0; i < 200; i++ {
-		idx, err := FastExpMechTop1(rng, scores, 1, 0.01)
-		if err != nil || idx != 1 {
-			t.Fatalf("-Inf score won the selection: got %d, %v", idx, err)
-		}
-	}
-}
-
-// TestMeterFastRouting pins the dispatch: a SamplerFast meter draws exactly
-// the stream the package-level fast samplers draw on the same seed, just as
-// TestMeterWrapsNoiseStreamExactly pins the legacy dispatch.
-func TestMeterFastRouting(t *testing.T) {
-	m := NewMeterV(1, NewRand(404), SamplerFast)
-	direct := NewRand(404)
-	if m.Sampler() != SamplerFast {
-		t.Fatal("meter did not retain its sampler version")
-	}
-	if got, want := m.Laplace("a", 2.5, 0.1), FastLaplace(direct, 2.5); got != want {
-		t.Fatalf("Laplace routed wrong: %v != %v", got, want)
-	}
-	x := []float64{1, 2, 3, 4, 5}
-	got := m.LaplaceVecInto("b", make([]float64, len(x)), x, 0.5, 0.1)
-	want := FastLaplaceVecInto(direct, make([]float64, len(x)), x, 0.5)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("LaplaceVecInto routed wrong at %d: %v != %v", i, got[i], want[i])
-		}
-	}
-	if g, w := m.Geometric("c", 1, 0.1), FastGeometric(direct, 10); g != w {
-		t.Fatalf("Geometric routed wrong: %d != %d", g, w)
-	}
-	scores := []float64{0.3, 1.7, 0.2, 2.4}
-	gi := m.ExpMechBuf("d", scores, 1, 0.1, make([]float64, len(scores)))
-	wi, err := FastExpMechTop1(direct, scores, 1, 0.1)
-	if err != nil || gi != wi {
-		t.Fatalf("ExpMech routed wrong: %d != %d (%v)", gi, wi, err)
-	}
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// Sub-meters inherit the version.
-	sub := m.SubEps("sub", 0.2)
-	if sub.Sampler() != SamplerFast {
-		t.Fatal("sub-meter did not inherit the sampler version")
-	}
-	sub.Close()
-}
-
-func TestExpMechGumbels(t *testing.T) {
-	m := NewMeterV(1, NewRand(55), SamplerFast)
-	direct := NewRand(55)
-	dst := make([]float64, 64)
-	if !m.ExpMechGumbels("sel", dst, 0.25) {
-		t.Fatal("valid ExpMechGumbels returned false")
-	}
-	want := make([]float64, 64)
-	FastGumbelVecInto(direct, want)
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("Gumbel stream diverged at %d: %v != %v", i, dst[i], want[i])
-		}
-	}
-	if m.Err() != nil {
-		t.Fatal(m.Err())
-	}
-	// Invalid input is a sticky meter error with dst untouched, matching the
-	// ExpMech error path.
-	bad := NewMeterV(1, NewRand(1), SamplerFast)
-	if bad.ExpMechGumbels("sel", nil, 0.25) || bad.Err() == nil {
-		t.Fatal("empty dst must fail and stick")
-	}
-	bad2 := NewMeterV(1, NewRand(1), SamplerFast)
-	if bad2.ExpMechGumbels("sel", dst, 0) || bad2.Err() == nil {
-		t.Fatal("non-positive epsilon must fail and stick")
 	}
 }
 
@@ -267,7 +101,7 @@ func TestExpMechGumbels(t *testing.T) {
 // composition, so repeated calls with the same label cost the maximum —
 // exactly the ledger a loop of per-element LaplacePar calls would produce.
 func TestLaplaceVecParIntoLedger(t *testing.T) {
-	m, err := NewAuditedMeterV(1, NewRand(7), SamplerFast)
+	m, err := NewAuditedMeter(1, NewRand(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +120,9 @@ func TestLaplaceVecParIntoLedger(t *testing.T) {
 	}
 	// The draw stream matches the sequential variant exactly: composition
 	// kind affects only the ledger, never the noise.
-	seq := NewMeterV(1, NewRand(7), SamplerFast)
+	seq := NewMeter(1, NewRand(7))
 	want := seq.LaplaceVecInto("counts", make([]float64, len(x)), x, 2, 0.4)
-	par := NewMeterV(1, NewRand(7), SamplerFast)
+	par := NewMeter(1, NewRand(7))
 	got := par.LaplaceVecParInto("counts", make([]float64, len(x)), x, 2, 0.4)
 	for i := range got {
 		if got[i] != want[i] {

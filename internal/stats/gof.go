@@ -5,11 +5,11 @@ import (
 	"sort"
 )
 
-// Goodness-of-fit statistics for the sampler family's distributional tests:
-// the fast table-accelerated samplers must match the reference distributions
-// (Laplace, Gumbel, two-sided geometric) not just in moments but across the
-// whole CDF, so the test suite pins them with one-sample Kolmogorov-Smirnov
-// (continuous) and Pearson chi-square (discrete) checks at fixed seeds.
+// Goodness-of-fit statistics for the samplers' distributional tests: the
+// noise samplers must match their distributions (Laplace, two-sided
+// geometric) not just in moments but across the whole CDF, so the test
+// suite pins them with one-sample Kolmogorov-Smirnov (continuous) and
+// Pearson chi-square (discrete) checks at fixed seeds.
 
 // KSStatistic returns the one-sample Kolmogorov-Smirnov statistic
 // D = sup_x |F_n(x) - F(x)| between the empirical CDF of the sample and the

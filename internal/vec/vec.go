@@ -204,33 +204,3 @@ func Sum(s []float64) float64 {
 	}
 	return t
 }
-
-// AddInto writes a[i] + b[i] into dst elementwise. It is the batch kernel
-// under the fast samplers' vectorized noise paths: noise blocks are
-// synthesized into a scratch buffer and folded onto the data in one
-// streaming pass, keeping RNG work and memory traffic in separate loops.
-// dst may alias a (in-place accumulation) but must match both lengths.
-func AddInto(dst, a, b []float64) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("vec: length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// Argmax returns the index of the first maximum element of s (-1 for an
-// empty slice). Shared by selection paths that resolve a winner after a
-// vectorized scoring pass.
-func Argmax(s []float64) int {
-	if len(s) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range s[1:] {
-		if x > s[best] {
-			best = i + 1
-		}
-	}
-	return best
-}

@@ -38,18 +38,19 @@ type Workload struct {
 // Size returns the number of queries q.
 func (w *Workload) Size() int { return len(w.lo0) }
 
-// IsPrefix reports whether w is the prefix workload of its 1D domain: n
-// queries, query k covering exactly [0, k].
-func IsPrefix(w *Workload) bool {
-	if len(w.Dims) != 1 || w.Size() != w.Dims[0] {
-		return false
+// QueryKey identifies w's query storage for caches of values derived from
+// its queries: it points at the first slot of the bound arrays, or is nil
+// while w has no room for a query. AddRange, AddRect and Grow allocate
+// those arrays on the heap, so unlike w itself, which may be a
+// linker-allocated package-level variable, the key can be passed to
+// weak.Make. Appending in place keeps the key, so pair it with Size. It is
+// a function rather than a method so the public aliases of Workload do not
+// carry it.
+func QueryKey(w *Workload) *int32 {
+	if cap(w.lo0) == 0 {
+		return nil
 	}
-	for k, lo := range w.lo0 {
-		if lo != 0 || int(w.hi0[k]) != k {
-			return false
-		}
-	}
-	return true
+	return &w.lo0[:1][0]
 }
 
 // AddRange appends the inclusive 1D range query [lo, hi]. The workload must

@@ -30,7 +30,6 @@ import (
 	"math/rand"
 
 	"dpbench/internal/algo"
-	"dpbench/internal/noise"
 	"dpbench/internal/vec"
 	"dpbench/internal/workload"
 	"dpbench/privacy"
@@ -66,53 +65,6 @@ var ErrUnknownMechanism = algo.ErrUnknownAlgorithm
 // misconfiguration fails loudly instead of silently running defaults.
 type Option func(Mechanism) error
 
-// Sampler selects the noise-sampler implementation a mechanism's trials draw
-// from. SamplerLegacy (the default) is the reference exp/log sampler whose
-// stream every golden output pins; SamplerFast is the table-accelerated
-// family (batched inverse-CDF Laplace, Gumbel-max selection) with identical
-// distributions on its own stream. See WithSampler.
-type Sampler = noise.SamplerVersion
-
-const (
-	// SamplerLegacy is the default reference sampler.
-	SamplerLegacy = noise.SamplerLegacy
-	// SamplerFast is the table-accelerated sampler family.
-	SamplerFast = noise.SamplerFast
-)
-
-// ParseSampler parses a sampler name ("legacy" or "fast") as accepted by the
-// dpbench CLI's -sampler flag.
-func ParseSampler(s string) (Sampler, error) { return noise.ParseSamplerVersion(s) }
-
-// optionTarget is what New hands each option: the mechanism under
-// construction (which underlying unwraps for the type-asserting options)
-// plus the sampler pin WithSampler records for this New call alone. The pin
-// is a view around the mechanism, so New applies it after every option.
-type optionTarget struct {
-	Mechanism
-	sampler Sampler
-}
-
-// Unwrap returns the mechanism under construction.
-func (t *optionTarget) Unwrap() Mechanism { return t.Mechanism }
-
-// WithSampler pins the sampler family the mechanism's plans draw noise from.
-// It applies to every mechanism; the default is SamplerLegacy, whose stream
-// is bit-identical to prior releases.
-func WithSampler(v Sampler) Option {
-	return func(m Mechanism) error {
-		if v != SamplerLegacy && v != SamplerFast {
-			return fmt.Errorf("unknown sampler version %d", v)
-		}
-		t, ok := m.(*optionTarget)
-		if !ok {
-			return fmt.Errorf("WithSampler applies only through New")
-		}
-		t.sampler = v
-		return nil
-	}
-}
-
 // New returns a fresh instance of the named mechanism in its default
 // (paper) configuration, with any options applied. Unknown names fail with
 // an error wrapping ErrUnknownMechanism; inapplicable options fail with an
@@ -122,26 +74,12 @@ func New(name string, opts ...Option) (Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &optionTarget{Mechanism: a}
 	for _, opt := range opts {
-		if err := opt(t); err != nil {
+		if err := opt(a); err != nil {
 			return nil, fmt.Errorf("release: constructing %s: %w", name, err)
 		}
 	}
-	return algo.WithSamplerVersion(a, t.sampler), nil
-}
-
-// underlying unwraps configuration views (New's option target and the
-// sampler pin) so type-asserting options reach the concrete mechanism they
-// configure.
-func underlying(m Mechanism) Mechanism {
-	for {
-		u, ok := m.(interface{ Unwrap() Mechanism })
-		if !ok {
-			return m
-		}
-		m = u.Unwrap()
-	}
+	return a, nil
 }
 
 // Names returns the sorted list of registered mechanism names.
@@ -160,7 +98,7 @@ func WithSideInfoRepair(rho float64) Option {
 		if rho <= 0 || rho >= 1 {
 			return fmt.Errorf("side-info repair fraction must be in (0,1), got %v", rho)
 		}
-		s, ok := underlying(m).(algo.SideInfoUser)
+		s, ok := m.(algo.SideInfoUser)
 		if !ok {
 			return fmt.Errorf("%s consumes no side information; WithSideInfoRepair does not apply", m.Name())
 		}
@@ -172,7 +110,7 @@ func WithSideInfoRepair(rho float64) Option {
 // WithMWEMRounds fixes MWEM's round count T. Applies to MWEM variants only.
 func WithMWEMRounds(t int) Option {
 	return func(m Mechanism) error {
-		mw, ok := underlying(m).(*algo.MWEM)
+		mw, ok := m.(*algo.MWEM)
 		if !ok {
 			return fmt.Errorf("%s is not MWEM; WithMWEMRounds does not apply", m.Name())
 		}
@@ -190,7 +128,7 @@ func WithMWEMRounds(t int) Option {
 // train one with dpbench.TrainMWEM). Applies to MWEM variants only.
 func WithMWEMProfile(profile func(signal float64) int) Option {
 	return func(m Mechanism) error {
-		mw, ok := underlying(m).(*algo.MWEM)
+		mw, ok := m.(*algo.MWEM)
 		if !ok {
 			return fmt.Errorf("%s is not MWEM; WithMWEMProfile does not apply", m.Name())
 		}
@@ -207,7 +145,7 @@ func WithMWEMProfile(profile func(signal float64) int) Option {
 // MWEM applies per round. Applies to MWEM variants only.
 func WithMWEMUpdateSweeps(k int) Option {
 	return func(m Mechanism) error {
-		mw, ok := underlying(m).(*algo.MWEM)
+		mw, ok := m.(*algo.MWEM)
 		if !ok {
 			return fmt.Errorf("%s is not MWEM; WithMWEMUpdateSweeps does not apply", m.Name())
 		}
@@ -224,7 +162,7 @@ func WithMWEMUpdateSweeps(k int) Option {
 // zero-threshold). Applies to AHP variants only.
 func WithAHPParams(rho, eta float64) Option {
 	return func(m Mechanism) error {
-		ah, ok := underlying(m).(*algo.AHP)
+		ah, ok := m.(*algo.AHP)
 		if !ok {
 			return fmt.Errorf("%s is not AHP; WithAHPParams does not apply", m.Name())
 		}
