@@ -8,6 +8,7 @@ import (
 	"dpbench/internal/algo"
 	"dpbench/internal/core"
 	"dpbench/internal/dataset"
+	"dpbench/internal/noise"
 	"dpbench/internal/workload"
 )
 
@@ -17,17 +18,14 @@ import (
 // findings hold on this implementation, not just that the plumbing works.
 
 func TestEndToEnd1DPipeline(t *testing.T) {
-	b := core.NewRangeQueryBenchmark1D(256)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	algos := algo.All(1)
 	cfg := core.Config{
-		Dataset:     b.Datasets[0],
+		Dataset:     dataset.Registry1D()[0],
 		Dims:        []int{256},
 		Scale:       10_000,
 		Eps:         0.1,
-		Workload:    b.Workloads[0],
-		Algorithms:  b.Algorithms,
+		Workload:    workload.Prefix(256),
+		Algorithms:  algos,
 		DataSamples: 1,
 		Trials:      2,
 		Seed:        123,
@@ -36,8 +34,8 @@ func TestEndToEnd1DPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(b.Algorithms) {
-		t.Fatalf("%d results for %d algorithms", len(results), len(b.Algorithms))
+	if len(results) != len(algos) {
+		t.Fatalf("%d results for %d algorithms", len(results), len(algos))
 	}
 	comp := core.CompetitiveSet(results, 0.05)
 	if len(comp) == 0 {
@@ -46,17 +44,13 @@ func TestEndToEnd1DPipeline(t *testing.T) {
 }
 
 func TestEndToEnd2DPipeline(t *testing.T) {
-	b := core.NewRangeQueryBenchmark2D(16, 50, 5)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	cfg := core.Config{
-		Dataset:     b.Datasets[0],
+		Dataset:     dataset.Registry2D()[0],
 		Dims:        []int{16, 16},
 		Scale:       10_000,
 		Eps:         0.5,
-		Workload:    b.Workloads[0],
-		Algorithms:  b.Algorithms,
+		Workload:    workload.RandomRange2D(16, 16, 50, noise.NewRand(5)),
+		Algorithms:  algo.All(2),
 		DataSamples: 1,
 		Trials:      2,
 		Seed:        321,
@@ -144,32 +138,6 @@ func TestHeadlineFindingBaselinesMatter(t *testing.T) {
 	}
 	if results[0].MeanError() >= results[1].MeanError() {
 		t.Errorf("IDENTITY %v not below MWEM %v at scale 1e7", results[0].MeanError(), results[1].MeanError())
-	}
-}
-
-func TestSelectorAgreesWithMeasurement(t *testing.T) {
-	// The Section 8 selector's high-signal recommendation must actually win
-	// a measured comparison at high signal.
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	rec, err := core.SelectAlgorithm(0.1, 1e7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := dataset.ByName("INCOME")
-	algos := []algo.Algorithm{mustNew(t, rec.Primary), mustNew(t, "MWEM"), mustNew(t, "UNIFORM")}
-	cfg := core.Config{
-		Dataset: d, Dims: []int{256}, Scale: 1e7, Eps: 0.1,
-		Workload: workload.Prefix(256), Algorithms: algos,
-		DataSamples: 1, Trials: 3, Seed: 999,
-	}
-	results, err := core.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best := core.BestByMean(results); best != rec.Primary {
-		t.Errorf("selector recommended %s but %s won", rec.Primary, best)
 	}
 }
 

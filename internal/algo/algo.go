@@ -165,18 +165,6 @@ func validate(x *vec.Vector, eps float64) error {
 	return nil
 }
 
-// clampNonNegative zeroes negative estimates in place and returns the slice.
-// Post-processing of differentially private output is privacy-free and all
-// partition/count mechanisms in the suite apply it.
-func clampNonNegative(x []float64) []float64 {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
-	}
-	return x
-}
-
 // uniformSpread writes total spread evenly over cells[lo:hi) of out.
 func uniformSpread(out []float64, lo, hi int, total float64) {
 	per := total / float64(hi-lo)

@@ -194,13 +194,3 @@ func TestUniformSpreadHelper(t *testing.T) {
 		}
 	}
 }
-
-func TestClampNonNegative(t *testing.T) {
-	got := clampNonNegative([]float64{-1, 2, -0.5, 0})
-	want := []float64{0, 2, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-}

@@ -135,9 +135,11 @@ func (EFPA) CompositionPlan() noise.Plan {
 	}
 }
 
-// efpaPerturb perturbs the k retained orthonormal-DFT coefficients of a
-// real-valued input and restores Hermitian symmetry, so the inverse
-// transform is real-valued for EVERY k:
+// efpaPerturbInto perturbs the k retained orthonormal-DFT coefficients of a
+// real-valued input into kept, a caller-provided (possibly dirty) buffer of
+// length n that is zeroed first so truncated slots stay truncated across
+// pooled reuses, and restores Hermitian symmetry, so the inverse transform
+// is real-valued for EVERY k:
 //
 //   - the DC bin (and, for even n, the Nyquist bin) of a real signal is
 //     real, so only the real part keeps its noise;
@@ -148,13 +150,6 @@ func (EFPA) CompositionPlan() noise.Plan {
 // Without the overwrite, a k past n/2 left kept[j] and kept[n-j]
 // independently perturbed and the reconstruction picked up spurious
 // imaginary mass that taking real() silently folded away.
-func efpaPerturb(F []complex128, n, k int, epsC float64, m *noise.Meter) []complex128 {
-	return efpaPerturbInto(make([]complex128, n), F, n, k, epsC, m)
-}
-
-// efpaPerturbInto is efpaPerturb writing into a caller-provided (possibly
-// dirty) buffer of length n, which is zeroed first so truncated slots stay
-// truncated across pooled reuses.
 func efpaPerturbInto(kept []complex128, F []complex128, n, k int, epsC float64, m *noise.Meter) []complex128 {
 	for i := range kept {
 		kept[i] = 0

@@ -359,17 +359,3 @@ func (e *Engine) CallGraphReachable(roots []*Func) map[*Func]bool {
 // PublicAt exposes the //dp:public line check to analyzers (for
 // exempting annotated report sites).
 func (e *Engine) PublicAt(pos token.Pos) bool { return e.pubAt(pos) }
-
-// ParamIndexOf returns the parameter index of an identifier in f, if it is
-// one of f's parameters (receiver is 0 for methods).
-func (e *Engine) ParamIndexOf(f *Func, id *ast.Ident) (int, bool) {
-	obj := e.pass.TypesInfo.Uses[id]
-	if obj == nil {
-		obj = e.pass.TypesInfo.Defs[id]
-	}
-	if obj == nil {
-		return 0, false
-	}
-	idx, ok := f.params[obj]
-	return idx, ok
-}

@@ -232,9 +232,6 @@ type Func struct {
 	curClosure *ast.FuncLit
 }
 
-// Name returns the function's name for diagnostics.
-func (f *Func) Name() string { return f.Obj.Name() }
-
 // Engine runs the package-wide fixpoint.
 type Engine struct {
 	pass    *analysis.Pass
@@ -392,15 +389,6 @@ func (e *Engine) Run() {
 
 // Funcs returns the analyzed functions in declaration order.
 func (e *Engine) Funcs() []*Func { return e.funcs }
-
-// FuncOf resolves a function object to its analyzed declaration.
-func (e *Engine) FuncOf(obj *types.Func) (*Func, bool) {
-	f, ok := e.byObj[obj]
-	return f, ok
-}
-
-// Summary returns fn's current summary.
-func (e *Engine) Summary(f *Func) Summary { return f.sum }
 
 // FieldKind returns the package-global taint of a struct field.
 func (e *Engine) FieldKind(key FieldKey) Kind {

@@ -17,8 +17,7 @@
 //
 //   - noisegate (internal/analysis/noisegate): inside dpbench/internal/algo,
 //     privacy-relevant randomness must flow through an accountant-backed
-//     noise.Meter. Direct math/rand draws, *rand.Rand method calls (other
-//     than on the explicit zero-cost noise.Meter.Rand() path), and
+//     noise.Meter. Direct math/rand draws, *rand.Rand method calls, and
 //     hand-rolled math.Log/math.Exp noise synthesis are flagged, because a
 //     draw the accountant never sees is a spend the audit can never prove.
 //
@@ -81,12 +80,12 @@
 //     with epsilon as a symbolic variable, carries the resulting plan into
 //     Execute, and tracks every meter charge as an exact linear expression
 //     in eps (big.Rat coefficients, so eps/3 + 2*eps/3 is exactly eps).
-//     Sequential charges add, parallel charges (ChargePar, SubParEps) max,
-//     and paths join at branches. On every non-exempt outcome path
-//     (exempt: paths that provably return a non-nil error before spending)
-//     the accumulated total must equal the declared budget exactly —
-//     over-spend, under-spend, and branch-asymmetric spend are all compile
-//     failures. A sub-meter still open when Execute returns is a finding,
+//     Sequential charges add, parallel charges (the *Par methods, and the
+//     Close of a parallel ResetSub) max, and paths join at branches. On
+//     every non-exempt outcome path (exempt: paths that provably return a
+//     non-nil error before spending) the accumulated total must equal the
+//     declared budget exactly — over-spend, under-spend, and
+//     branch-asymmetric spend are all compile failures. A sub-meter still open when Execute returns is a finding,
 //     since Close is the only way its spend reaches the parent.
 //
 //     An example finding, from a plan that charges half its budget up
@@ -96,10 +95,10 @@
 //     3/2*eps of a declared budget eps
 //
 //     On the same paths epsflow checks the audit's other half: each charge
-//     on Execute's root meter, and the label each Sub, SubEps, SubParEps or
-//     ResetSub on it closes under, must match an entry of the mechanism's
-//     CompositionPlan literal by label and by kind, as noise.Plan.allows
-//     does (tree.MeasureInto counts as the parallel "level*" family).
+//     on Execute's root meter, and the label each ResetSub on it closes
+//     under, must match an entry of the mechanism's CompositionPlan literal
+//     by label and by kind, as noise.Plan.allows does (tree.MeasureInto
+//     counts as the parallel "level*" family).
 //     Spends inside a sub-meter fold into its one Close charge and are not
 //     compared. A label must be a string constant or a
 //     labelTable/idxLabel family; anything else is a finding. A //dp:spends

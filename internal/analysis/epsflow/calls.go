@@ -686,19 +686,15 @@ type spendSig struct {
 }
 
 // spendOps is the one list of the Meter methods that charge under a label;
-// keep it in step with internal/noise/meter.go. The sub-meter methods
-// (Sub, SubEps, SubParEps, ResetSub) and Close are modeled in applyMeterOp.
+// keep it in step with internal/noise/meter.go. The sub-meter method
+// ResetSub and Close are modeled in applyMeterOp.
 var spendOps = map[string]spendSig{
 	"Laplace":              {2, false, 'f'},
 	"LaplacePar":           {2, true, 'f'},
-	"LaplaceVec":           {3, false, 's'},
 	"LaplaceVecInto":       {4, false, 's'},
 	"LaplaceVecParInto":    {4, true, 's'},
-	"LaplaceMechanism":     {3, false, 's'},
 	"LaplaceMechanismInto": {4, false, 's'},
 	"Geometric":            {2, false, 'i'},
-	"ExpMech":              {3, false, 'i'},
-	"ExpMechPar":           {3, true, 'i'},
 	"ExpMechBuf":           {3, false, 'i'},
 	"ExpMechBufPar":        {3, true, 'i'},
 	"Charge":               {1, false, 'v'},
@@ -744,28 +740,6 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 		return ev{v: vr.spendResult(sig.ret, call, st), st: st}
 	}
 	switch name {
-	case "Sub", "SubEps", "SubParEps":
-		label := vals[0]
-		if label.kind != vStr || !label.sConst {
-			vr.abort(call, "non-constant label passed to %s", name)
-		}
-		budget := ratZero()
-		if vals[1].kind == vNum {
-			budget = vals[1].r
-		} else {
-			vr.abort(call, "cannot track the budget passed to %s", name)
-		}
-		if name == "Sub" {
-			budget = ratMul(budget, ms.budget)
-		}
-		vr.rootCharge(key, labelUse{label: label, par: name == "SubParEps", method: name, at: call.Args[0]})
-		sub := newMeterState(budget, false)
-		sub.label = label.s
-		sub.parent = key
-		sub.parallel = name == "SubParEps"
-		subKey := vr.freshStem("sub:" + label.s)
-		st.setMeter(subKey, sub)
-		return ev{v: value{kind: vMeter, meter: subKey, bAtom: -1}, st: st}
 	case "ResetSub":
 		if vals[0].kind != vMeter {
 			vr.abort(call, "cannot resolve the sub-meter passed to ResetSub")
@@ -805,8 +779,6 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 		return ev{v: numVal(ms.total()), st: st}
 	case "Release":
 		return ev{v: opaqueVal(), st: st}
-	case "Rand", "Ledger", "Audited":
-		return ev{v: vr.memoValue(call, st), st: st}
 	}
 	vr.abort(call, "unmodeled meter method %s", name)
 	return ev{}

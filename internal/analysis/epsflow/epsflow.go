@@ -16,9 +16,11 @@
 // at return (its spend reaches the parent only through Close).
 //
 // The audit's second check is proved on the same paths (labels.go): each
-// charge on Execute's root meter, and each sub-meter that closes into it,
-// must match an entry of the mechanism's CompositionPlan literal by label
-// and by kind. Labels must be constants or labelTable families.
+// charge on Execute's root meter, and each sub-meter that ResetSub opens on
+// it and Close folds back, must match an entry of the mechanism's
+// CompositionPlan literal by label and by kind. Labels must be constants or
+// labelTable families. The meter methods modeled are exactly the ones
+// noise.Meter has; any other call on a meter aborts the verification.
 //
 // Structure-dependent loops and recursion that no abstract trip count can
 // close are handled by checked `//dp:spends [par] <expr>` annotations —

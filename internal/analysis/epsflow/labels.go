@@ -9,10 +9,10 @@ package epsflow
 //
 //   - each spend method called on the root meter, under its label argument,
 //     parallel for the *Par methods;
-//   - each sub-meter opened on the root (Sub, SubEps, SubParEps, ResetSub),
-//     whose Close charges the root once under the sub-meter's label, as
-//     parallel for SubParEps and a true ResetSub flag. The sub-meter's own
-//     spends fold into that one entry, so they are not compared;
+//   - each sub-meter opened on the root with ResetSub, whose Close charges
+//     the root once under the sub-meter's label, as parallel for a true
+//     ResetSub flag. The sub-meter's own spends fold into that one entry,
+//     so they are not compared;
 //   - each tree.MeasureInto on the root, a parallel scope per level under
 //     tree.LevelLabel's labels: the "level*" family.
 //

@@ -315,20 +315,11 @@ type rat struct {
 	den []poly
 }
 
-func ratZero() rat               { return rat{num: poly{}} }
-func ratFromPoly(p poly) rat     { return rat{num: p} }
-func ratFloat(f float64) rat     { return rat{num: polyFloat(f)} }
-func ratAtom(id int) rat         { return rat{num: polyAtom(id)} }
-func (r rat) isZero() bool       { return r.num.isZero() }
-func (r rat) isPolynomial() bool { return len(r.den) == 0 }
-
-func (r rat) clone() rat {
-	out := rat{num: r.num.clone()}
-	for _, d := range r.den {
-		out.den = append(out.den, d.clone())
-	}
-	return out
-}
+func ratZero() rat           { return rat{num: poly{}} }
+func ratFromPoly(p poly) rat { return rat{num: p} }
+func ratFloat(f float64) rat { return rat{num: polyFloat(f)} }
+func ratAtom(id int) rat     { return rat{num: polyAtom(id)} }
+func (r rat) isZero() bool   { return r.num.isZero() }
 
 // normalize makes each denominator factor monic (leading coefficient 1 under
 // the graded order), folding the content into the numerator, then cancels

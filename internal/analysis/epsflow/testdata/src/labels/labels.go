@@ -70,7 +70,8 @@ func (p *goodPlan) Execute(m *noise.Meter, out []float64) error {
 	m.LaplacePar("level3", 1, p.u)  // wildcard match: clean
 	m.Charge("rogue", p.u)          // want `label "rogue" \(sequential, from Charge\) is not declared in GoodMech's CompositionPlan`
 	m.Laplace("other-only", 1, p.u) // want `label "other-only" \(sequential, from Laplace\) is not declared in GoodMech's CompositionPlan`
-	sub := m.SubParEps("level1", p.u)
+	var sub noise.Meter
+	m.ResetSub(&sub, "level1", p.u, true)
 	sub.Laplace("inner", 1, p.u) // folded into "level1" by Close: not compared
 	sub.Close()
 	newScratch().Spend(m, p.u)
@@ -178,7 +179,7 @@ func allowedDynamic(m *noise.Meter, prefix string, u float64) {
 	m.Laplace(prefix+"x", 1, u)
 }
 
-// KindMech covers LaplaceVecParInto and ExpMech, the kind half of
+// KindMech covers LaplaceVecParInto and ExpMechBuf, the kind half of
 // the rule, and the labels sub-meters close under.
 type KindMech struct{}
 
@@ -200,12 +201,12 @@ func (k *KindMech) Plan(n int, eps float64) (*kindPlan, error) {
 	return &kindPlan{u: eps / 6}, nil
 }
 
-// Execute draws through LaplaceVecParInto and ExpMech, charges a
+// Execute draws through LaplaceVecParInto and ExpMechBuf, charges a
 // sequential-only label in parallel, and arms two sub-meters in place.
 func (p *kindPlan) Execute(m *noise.Meter, out []float64) error {
 	m.LaplaceVecParInto("counts", out, out, 1/p.u, p.u)
 	m.LaplaceVecParInto("countz", out, out, 1/p.u, p.u) // want `label "countz" \(parallel, from LaplaceVecParInto\) is not declared in KindMech's CompositionPlan`
-	m.ExpMech("selekt", out, 1, p.u)                    // want `label "selekt" \(sequential, from ExpMech\) is not declared in KindMech's CompositionPlan`
+	m.ExpMechBuf("selekt", out, 1, p.u, nil)            // want `label "selekt" \(sequential, from ExpMechBuf\) is not declared in KindMech's CompositionPlan`
 	m.LaplacePar("select", 1, p.u)                      // want `label "select" \(parallel, from LaplacePar\) is not declared in KindMech's CompositionPlan, which declares it sequential`
 	var sub noise.Meter
 	m.ResetSub(&sub, "stage2", p.u, false)

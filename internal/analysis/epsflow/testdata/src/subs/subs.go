@@ -21,7 +21,8 @@ type subNeverPlan struct {
 
 // Execute opens "s1", spends in it, and returns.
 func (p *subNeverPlan) Execute(m *noise.Meter, out []float64) error {
-	sub := m.SubEps("s1", p.eps)
+	var sub noise.Meter
+	m.ResetSub(&sub, "s1", p.eps, false)
 	sub.Laplace("x", 1, p.eps)
 	return m.Err() // want `SubNeverMech: sub-meter "s1" is never closed on this path` `SubNeverMech under-spends`
 }
@@ -41,7 +42,8 @@ type subBranchPlan struct {
 
 // Execute leaks "s2" when cond is false.
 func (p *subBranchPlan) Execute(m *noise.Meter, out []float64) error {
-	sub := m.SubEps("s2", p.eps)
+	var sub noise.Meter
+	m.ResetSub(&sub, "s2", p.eps, false)
 	sub.Laplace("x", 1, p.eps)
 	if p.cond {
 		sub.Close()
@@ -65,7 +67,8 @@ type subEarlyPlan struct {
 
 // Execute leaks "s3" on the bailout.
 func (p *subEarlyPlan) Execute(m *noise.Meter, out []float64) error {
-	sub := m.SubEps("s3", p.eps)
+	var sub noise.Meter
+	m.ResetSub(&sub, "s3", p.eps, false)
 	sub.Laplace("x", 1, p.eps)
 	if p.bail {
 		return nil // want `SubEarlyMech: sub-meter "s3" is never closed on this path` `SubEarlyMech under-spends`
@@ -115,11 +118,13 @@ type subCleanPlan struct {
 // Execute closes "s4" by defer, "s6" on both arms, "s7" before an error
 // return, "bucket" per iteration, and "s9" after spendInto.
 func (p *subCleanPlan) Execute(m *noise.Meter, out []float64) error {
-	s4 := m.Sub("s4", 0.2)
+	var s4 noise.Meter
+	m.ResetSub(&s4, "s4", p.u, false)
 	defer s4.Close()
 	s4.Laplace("x", 1, p.u)
 
-	s6 := m.SubEps("s6", p.u)
+	var s6 noise.Meter
+	m.ResetSub(&s6, "s6", p.u, false)
 	if p.cond {
 		s6.Laplace("x", 1, p.u)
 		s6.Close()
@@ -128,7 +133,8 @@ func (p *subCleanPlan) Execute(m *noise.Meter, out []float64) error {
 		s6.Close()
 	}
 
-	s7 := m.SubEps("s7", p.u)
+	var s7 noise.Meter
+	m.ResetSub(&s7, "s7", p.u, false)
 	if p.err != nil {
 		s7.Close()
 		return p.err
@@ -143,8 +149,9 @@ func (p *subCleanPlan) Execute(m *noise.Meter, out []float64) error {
 		sub.Close()
 	}
 
-	s9 := m.SubEps("s9", p.u)
-	spendInto(s9, p.u)
+	var s9 noise.Meter
+	m.ResetSub(&s9, "s9", p.u, false)
+	spendInto(&s9, p.u)
 	s9.Close()
 	return m.Err()
 }

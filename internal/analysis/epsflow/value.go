@@ -464,7 +464,7 @@ type parEntry struct {
 // meterState tracks the charges recorded against one meter (the root meter
 // of an Execute call, or a sub-meter opened inside it).
 type meterState struct {
-	budget   rat  // the meter's total (eps for the root; Sub* argument)
+	budget   rat  // the meter's total (eps for the root; ResetSub's budget)
 	parallel bool // sub-meter composition kind at Close
 	label    string
 	parent   string // key of the meter Close charges into
@@ -518,8 +518,6 @@ func (ms *meterState) addPar(key chargeKey, e parEntry) (conflict bool) {
 	ms.parIdx = append(ms.parIdx, key)
 	return false
 }
-
-func (ms *meterState) addFam(amount rat) { ms.famSum = ratAdd(ms.famSum, amount) }
 
 // deferredOp is a deferred meter operation (only sub.Close is supported).
 type deferredOp struct {

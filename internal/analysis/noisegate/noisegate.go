@@ -8,8 +8,7 @@
 //
 //   - any use of a math/rand or math/rand/v2 package member that is not a
 //     type name — rand.New, rand.NewSource, package-level draws;
-//   - method calls on a raw *rand.Rand, unless the receiver is literally a
-//     noise.Meter.Rand() call, the declared zero-cost tie-breaking path;
+//   - method calls on a raw *rand.Rand;
 //   - math.Log / math.Exp (and Log1p / Expm1) applied to an expression that
 //     contains a raw draw: hand-rolled inverse-CDF noise synthesis bypasses
 //     both the accountant and the noise package's numerical contracts.
@@ -25,7 +24,6 @@ import (
 	"strings"
 
 	"dpbench/internal/analysis"
-	"dpbench/internal/analysis/meterapi"
 )
 
 // Analyzer is the noisegate pass.
@@ -69,27 +67,11 @@ func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	}
 	if fn, ok := obj.(*types.Func); ok {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			// A method on *rand.Rand. The one sanctioned receiver is a
-			// direct noise.Meter.Rand() call: the meter's declared
-			// zero-privacy-cost source for tie-breaking draws.
-			if isMeterRandCall(pass.TypesInfo, sel.X) {
-				return
-			}
-			pass.Reportf(sel.Pos(), "draw on a raw *rand.Rand (%s): privacy-relevant randomness must flow through an accountant-backed noise.Meter; for a provably zero-cost draw call it directly on noise.Meter.Rand()", fn.Name())
+			pass.Reportf(sel.Pos(), "draw on a raw *rand.Rand (%s): privacy-relevant randomness must flow through an accountant-backed noise.Meter", fn.Name())
 			return
 		}
 	}
 	pass.Reportf(sel.Pos(), "direct use of %s.%s: privacy-relevant randomness in internal/algo must flow through an accountant-backed noise.Meter", obj.Pkg().Path(), obj.Name())
-}
-
-// isMeterRandCall reports whether e is a call of noise.Meter.Rand.
-func isMeterRandCall(info *types.Info, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	name, ok := meterapi.MeterMethod(info, call)
-	return ok && name == "Rand"
 }
 
 // mathSynth is the set of math functions whose combination with a raw draw
@@ -97,9 +79,7 @@ func isMeterRandCall(info *types.Info, e ast.Expr) bool {
 var mathSynth = map[string]bool{"Log": true, "Log1p": true, "Exp": true, "Expm1": true}
 
 // checkSynthesis flags math.Log/Exp whose argument contains a randomness
-// draw — even one obtained through the otherwise-allowed Meter.Rand() path,
-// since feeding it into a transcendental is noise synthesis, not
-// tie-breaking.
+// draw: feeding a draw into a transcendental is noise synthesis.
 func checkSynthesis(pass *analysis.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

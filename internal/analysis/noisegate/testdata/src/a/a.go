@@ -16,11 +16,6 @@ func clean(eps float64, rng *rand.Rand) float64 {
 	return m.Laplace("x", 1/eps, eps)
 }
 
-// Tie-breaking on the meter's declared zero-cost source is allowed.
-func cleanTieBreak(m *noise.Meter) int {
-	return m.Rand().Intn(3)
-}
-
 func construct() *rand.Rand {
 	return rand.New(rand.NewSource(1)) // want `direct use of math/rand\.New` `direct use of math/rand\.NewSource`
 }
@@ -33,17 +28,8 @@ func rawDraw(rng *rand.Rand) float64 {
 	return rng.ExpFloat64() // want `draw on a raw \*rand\.Rand \(ExpFloat64\)`
 }
 
-func rawDrawVar(m *noise.Meter) float64 {
-	rng := m.Rand()
-	// Even an rng that came from the meter must be drawn at the call site
-	// of Rand() so the zero-cost path stays greppable.
-	return rng.Float64() // want `draw on a raw \*rand\.Rand \(Float64\)`
-}
-
-func handRolled(m *noise.Meter, scale float64) float64 {
-	u := 0.5
-	_ = u
-	return -scale * math.Log(m.Rand().Float64()) // want `hand-rolled noise synthesis: math\.Log`
+func handRolled(rng *rand.Rand, scale float64) float64 {
+	return -scale * math.Log(rng.Float64()) // want `hand-rolled noise synthesis: math\.Log` `draw on a raw \*rand\.Rand \(Float64\)`
 }
 
 func handRolledExp(rng *rand.Rand) float64 {

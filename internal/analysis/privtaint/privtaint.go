@@ -447,8 +447,8 @@ func meterEffect(name string, args []dataflow.Val) dataflow.Effect {
 		}
 		return eff
 	}
-	// Everything else (LaplaceVec, LaplaceMechanism, ExpMech*, Sub*,
-	// Charge*, Rand, accessors) returns released or structural values.
+	// Everything else (LaplaceMechanismInto, Geometric, ResetSub, Charge*,
+	// accessors) returns released or structural values.
 	return dataflow.Effect{}
 }
 

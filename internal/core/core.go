@@ -1,41 +1,24 @@
-// Package core implements the DPBench evaluation framework of Section 5 of
-// the paper: the benchmark definition (the 9-tuple {T, W, D, M, L, G, R, EM,
-// EI}), the experiment runner, the error-measurement standards (scaled
-// average per-query error, mean and 95th-percentile aggregation, competitive
-// sets via Welch t-tests with Bonferroni correction), the
-// error-interpretation standards (baselines and regret), the algorithm
-// repair functions (free-parameter training and side-information removal),
-// and checkers for the two theoretical properties the paper formalizes
-// (scale-epsilon exchangeability and consistency).
+// Package core implements the task-independent half of the DPBench
+// evaluation framework of Section 5 of the paper, which every benchmark
+// shares: the experiment runner over the data generator G, the
+// error-measurement standards (scaled average per-query error, mean and
+// 95th-percentile aggregation, competitive sets via Welch t-tests with
+// Bonferroni correction), the error-interpretation standards (baselines and
+// regret), the algorithm repair functions (free-parameter training and
+// side-information removal), and checkers for the two theoretical
+// properties the paper formalizes (scale-epsilon exchangeability and
+// consistency). A Config names one setting of the task-specific components
+// (workload, dataset, mechanisms, loss); the experiments package assembles
+// the paper's 1D and 2D grids from the registries. The runner, the trainer
+// and the checkers execute every trial through one step, audited or not.
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"dpbench/internal/algo"
-	"dpbench/internal/dataset"
 	"dpbench/internal/vec"
-	"dpbench/internal/workload"
 )
-
-// Benchmark is the 9-tuple of Section 5. The task-specific components are
-// explicit fields; the task-independent components (the data generator G,
-// the repair functions R, and the measurement and interpretation standards
-// EM and EI) are provided by this package's functions, which every benchmark
-// shares.
-type Benchmark struct {
-	// Task names the analysis task T, e.g. "1D range queries".
-	Task string
-	// Workloads is W, the representative query workloads.
-	Workloads []*workload.Workload
-	// Datasets is D, the source datasets.
-	Datasets []dataset.Dataset
-	// Algorithms is M, the mechanisms under comparison.
-	Algorithms []algo.Algorithm
-	// Loss is L, the loss function between true and noisy workload answers.
-	Loss LossFunc
-}
 
 // LossFunc measures the distance between the true workload answers y and the
 // mechanism's answers yhat.
@@ -54,65 +37,6 @@ func ScaledError(loss float64, scale float64, q int) float64 {
 		return math.Inf(1)
 	}
 	return loss / (scale * float64(q))
-}
-
-// NewRangeQueryBenchmark1D assembles the paper's 1D benchmark: Prefix
-// workload at domain size n, the 18 one-dimensional datasets, every
-// registered algorithm supporting 1D, and L2 loss.
-func NewRangeQueryBenchmark1D(n int) *Benchmark {
-	return &Benchmark{
-		Task:       "1D range queries",
-		Workloads:  []*workload.Workload{workload.Prefix(n)},
-		Datasets:   dataset.Registry1D(),
-		Algorithms: algo.All(1),
-		Loss:       L2Loss,
-	}
-}
-
-// NewRangeQueryBenchmark2D assembles the paper's 2D benchmark: q random
-// rectangle queries over a side x side grid (the paper uses q = 2000 and a
-// fixed query set per experiment), the 9 two-dimensional datasets, every
-// registered algorithm supporting 2D, and L2 loss.
-func NewRangeQueryBenchmark2D(side, q int, seed int64) *Benchmark {
-	rng := newRNG(seed)
-	return &Benchmark{
-		Task:       "2D range queries",
-		Workloads:  []*workload.Workload{workload.RandomRange2D(side, side, q, rng)},
-		Datasets:   dataset.Registry2D(),
-		Algorithms: algo.All(2),
-		Loss:       L2Loss,
-	}
-}
-
-// Validate checks that the benchmark's components are mutually consistent.
-func (b *Benchmark) Validate() error {
-	if b.Task == "" {
-		return fmt.Errorf("core: benchmark has no task")
-	}
-	if len(b.Workloads) == 0 {
-		return fmt.Errorf("core: benchmark has no workloads")
-	}
-	if len(b.Datasets) == 0 {
-		return fmt.Errorf("core: benchmark has no datasets")
-	}
-	if len(b.Algorithms) == 0 {
-		return fmt.Errorf("core: benchmark has no algorithms")
-	}
-	if b.Loss == nil {
-		return fmt.Errorf("core: benchmark has no loss function")
-	}
-	k := len(b.Workloads[0].Dims)
-	for _, d := range b.Datasets {
-		if d.Dim != k {
-			return fmt.Errorf("core: dataset %s is %dD but workload is %dD", d.Name, d.Dim, k)
-		}
-	}
-	for _, a := range b.Algorithms {
-		if !a.Supports(k) {
-			return fmt.Errorf("core: algorithm %s does not support %dD", a.Name(), k)
-		}
-	}
-	return nil
 }
 
 // RepairSideInfo applies the Rside repair function (Section 5.2) to every

@@ -30,52 +30,73 @@ func TestScaledErrorInterpretation(t *testing.T) {
 	}
 }
 
+// TestBenchmark1DAssembly pins the paper's 1D benchmark components as the
+// experiment runner assembles them: the 18 Table 2 datasets, the Prefix
+// workload at domain n, and every registered 1D mechanism.
 func TestBenchmark1DAssembly(t *testing.T) {
-	b := NewRangeQueryBenchmark1D(256)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
+	if got := len(dataset.Registry1D()); got != 18 {
+		t.Fatalf("1D benchmark has %d datasets, want 18", got)
 	}
-	if len(b.Datasets) != 18 {
-		t.Fatalf("1D benchmark has %d datasets, want 18", len(b.Datasets))
+	for _, d := range dataset.Registry1D() {
+		if d.Dim != 1 {
+			t.Fatalf("dataset %s in the 1D registry is %dD", d.Name, d.Dim)
+		}
 	}
-	if b.Workloads[0].Size() != 256 {
-		t.Fatalf("prefix workload size %d", b.Workloads[0].Size())
+	if got := workload.Prefix(256).Size(); got != 256 {
+		t.Fatalf("prefix workload size %d", got)
 	}
 	// 14 one-dimensional algorithms are evaluated (Section 7: "we evaluated
 	// 14 algorithms"), i.e. every registered algorithm supporting 1D + the
 	// starred variants.
-	if len(b.Algorithms) < 14 {
-		t.Fatalf("only %d 1D algorithms", len(b.Algorithms))
+	algos := algo.All(1)
+	if len(algos) < 14 {
+		t.Fatalf("only %d 1D algorithms", len(algos))
+	}
+	for _, a := range algos {
+		if !a.Supports(1) {
+			t.Fatalf("algorithm %s does not support 1D", a.Name())
+		}
 	}
 }
 
+// TestBenchmark2DAssembly is TestBenchmark1DAssembly for the 2D benchmark:
+// the 9 two-dimensional datasets and q random rectangles.
 func TestBenchmark2DAssembly(t *testing.T) {
-	b := NewRangeQueryBenchmark2D(32, 100, 7)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
+	if got := len(dataset.Registry2D()); got != 9 {
+		t.Fatalf("2D benchmark has %d datasets, want 9", got)
 	}
-	if len(b.Datasets) != 9 {
-		t.Fatalf("2D benchmark has %d datasets, want 9", len(b.Datasets))
+	for _, d := range dataset.Registry2D() {
+		if d.Dim != 2 {
+			t.Fatalf("dataset %s in the 2D registry is %dD", d.Name, d.Dim)
+		}
 	}
-	if b.Workloads[0].Size() != 100 {
-		t.Fatalf("workload size %d", b.Workloads[0].Size())
+	if got := workload.RandomRange2D(32, 32, 100, newRNG(7)).Size(); got != 100 {
+		t.Fatalf("workload size %d", got)
+	}
+	for _, a := range algo.All(2) {
+		if !a.Supports(2) {
+			t.Fatalf("algorithm %s does not support 2D", a.Name())
+		}
 	}
 }
 
+// TestBenchmarkValidateCatchesMismatches: a setting whose components
+// disagree on the domain fails the run with an error instead of producing
+// numbers — a 2D dataset on a 1D domain, a workload over another domain,
+// and a mechanism that does not support the dimensionality.
 func TestBenchmarkValidateCatchesMismatches(t *testing.T) {
-	b := NewRangeQueryBenchmark1D(64)
-	b.Datasets = dataset.Registry2D()
-	if err := b.Validate(); err == nil {
-		t.Fatal("expected dimensionality mismatch error")
+	d1, _ := dataset.ByName("ADULT")
+	d2, _ := dataset.ByName("ADULT-2D")
+	id := []algo.Algorithm{mustAlgo(t, "IDENTITY")}
+	cases := map[string]Config{
+		"2D dataset on a 1D domain":    {Dataset: d2, Dims: []int{64}, Scale: 1000, Eps: 0.1, Workload: workload.Prefix(64), Algorithms: id},
+		"workload over another domain": {Dataset: d1, Dims: []int{64}, Scale: 1000, Eps: 0.1, Workload: workload.Prefix(32), Algorithms: id},
+		"2D-only mechanism on 1D":      {Dataset: d1, Dims: []int{64}, Scale: 1000, Eps: 0.1, Workload: workload.Prefix(64), Algorithms: []algo.Algorithm{mustAlgo(t, "QUADTREE")}},
 	}
-	b = NewRangeQueryBenchmark1D(64)
-	b.Loss = nil
-	if err := b.Validate(); err == nil {
-		t.Fatal("expected missing-loss error")
-	}
-	b = &Benchmark{}
-	if err := b.Validate(); err == nil {
-		t.Fatal("expected empty-benchmark error")
+	for name, cfg := range cases {
+		if _, err := Run(context.Background(), cfg); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
 	}
 }
 

@@ -17,30 +17,21 @@ type vecWithAnswers struct {
 	trueAns []float64
 }
 
-// ParallelFor runs fn(0), ..., fn(n-1) on at most workers goroutines
+// ParallelForCtx runs fn(0), ..., fn(n-1) on at most workers goroutines
 // (workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 runs inline). The
 // first error stops dispatch of not-yet-started indices — in-flight calls
-// finish — and is returned after all started calls complete. Callers get
-// deterministic output by writing fn's result into a slot indexed by i, so
-// scheduling order never matters.
-func ParallelFor(workers, n int, fn func(i int) error) error {
-	return ParallelForWorkers(workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ParallelForCtx is ParallelFor with cancellation: once ctx is done, no new
-// indices are dispatched (in-flight calls finish) and ctx.Err() is returned.
+// finish — and is returned after all started calls complete; once ctx is
+// done, no new indices are dispatched either and ctx.Err() is returned.
+// Callers get deterministic output by writing fn's result into a slot
+// indexed by i, so scheduling order never matters.
 func ParallelForCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return parallelForWorkers(ctx, workers, n, func(_, i int) error { return fn(i) })
 }
 
-// ParallelForWorkers is ParallelFor with the executing worker's index (in
+// parallelForWorkers is ParallelForCtx with the executing worker's index (in
 // [0, workers)) passed to fn, so callers can hand each worker a private
 // scratch arena instead of contending on a shared pool. The inline
 // single-worker path always reports worker 0.
-func ParallelForWorkers(workers, n int, fn func(worker, i int) error) error {
-	return parallelForWorkers(context.Background(), workers, n, fn)
-}
-
 func parallelForWorkers(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -157,7 +157,7 @@ func TestRunParallelValidation(t *testing.T) {
 func TestParallelForCancelsAfterFirstError(t *testing.T) {
 	var started atomic.Int32
 	boom := errors.New("boom")
-	err := ParallelFor(4, 10_000, func(i int) error {
+	err := ParallelForCtx(context.Background(), 4, 10_000, func(i int) error {
 		started.Add(1)
 		if i == 5 {
 			return boom
@@ -176,7 +176,7 @@ func TestParallelForCancelsAfterFirstError(t *testing.T) {
 func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		counts := make([]atomic.Int32, 137)
-		if err := ParallelFor(workers, len(counts), func(i int) error {
+		if err := ParallelForCtx(context.Background(), workers, len(counts), func(i int) error {
 			counts[i].Add(1)
 			return nil
 		}); err != nil {

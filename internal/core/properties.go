@@ -27,19 +27,21 @@ type ExchangeabilityResult struct {
 // (scale*factor, eps/factor) on the same shape and compares mean scaled
 // errors. For a scale-epsilon exchangeable algorithm the two distributions
 // are identical, so the ratio of mean errors converges to 1; tol bounds the
-// accepted relative deviation given finite trials.
-func CheckExchangeability(a algo.Algorithm, shape *vec.Vector, w *workload.Workload, scale int, eps float64, factor int, trials int, tol float64, seed int64) (ExchangeabilityResult, error) {
+// accepted relative deviation given finite trials. With audit set every
+// trial runs through the budget-ledger audit (see Config.Audit); the
+// result is the same either way.
+func CheckExchangeability(a algo.Algorithm, shape *vec.Vector, w *workload.Workload, scale int, eps float64, factor int, trials int, tol float64, seed int64, audit bool) (ExchangeabilityResult, error) {
 	res := ExchangeabilityResult{
 		Algorithm: a.Name(),
 		Scale1:    scale, Eps1: eps,
 		Scale2: scale * factor, Eps2: eps / float64(factor),
 		ToleranceApplied: tol,
 	}
-	e1, err := meanScaledError(a, shape, w, scale, eps, trials, seed)
+	e1, err := meanScaledError(a, shape, w, scale, eps, trials, seed, audit)
 	if err != nil {
 		return res, err
 	}
-	e2, err := meanScaledError(a, shape, w, scale*factor, eps/float64(factor), trials, seed+1)
+	e2, err := meanScaledError(a, shape, w, scale*factor, eps/float64(factor), trials, seed+1, audit)
 	if err != nil {
 		return res, err
 	}
@@ -67,8 +69,9 @@ type ConsistencyResult struct {
 
 // CheckConsistency measures mean scaled error along an increasing epsilon
 // sweep on a fixed data vector. A residual below decayThreshold marks the
-// algorithm as (empirically) consistent.
-func CheckConsistency(a algo.Algorithm, x *vec.Vector, w *workload.Workload, epsSweep []float64, trials int, decayThreshold float64, seed int64) (ConsistencyResult, error) {
+// algorithm as (empirically) consistent. audit is as in
+// CheckExchangeability.
+func CheckConsistency(a algo.Algorithm, x *vec.Vector, w *workload.Workload, epsSweep []float64, trials int, decayThreshold float64, seed int64, audit bool) (ConsistencyResult, error) {
 	res := ConsistencyResult{Algorithm: a.Name(), Eps: epsSweep}
 	trueAns, err := w.Evaluate(x)
 	if err != nil {
@@ -86,7 +89,7 @@ func CheckConsistency(a algo.Algorithm, x *vec.Vector, w *workload.Workload, eps
 		var total float64
 		for t := 0; t < trials; t++ {
 			rng := newRNG(seed + int64(ei)*911 + int64(t))
-			if err := plan.Execute(noise.NewMeter(eps, rng), est); err != nil {
+			if err := executeTrial(a, plan, eps, rng, est, audit); err != nil {
 				return res, err
 			}
 			sc.ev.Reset(est)
@@ -123,8 +126,9 @@ func (b BiasVariance) BiasShare() float64 {
 	return b.Bias2 / total
 }
 
-// MeasureBias runs the algorithm repeatedly and decomposes its error.
-func MeasureBias(a algo.Algorithm, x *vec.Vector, w *workload.Workload, eps float64, trials int, seed int64) (BiasVariance, error) {
+// MeasureBias runs the algorithm repeatedly and decomposes its error. audit
+// is as in CheckExchangeability.
+func MeasureBias(a algo.Algorithm, x *vec.Vector, w *workload.Workload, eps float64, trials int, seed int64, audit bool) (BiasVariance, error) {
 	out := BiasVariance{Algorithm: a.Name()}
 	trueAns, err := w.Evaluate(x)
 	if err != nil {
@@ -140,7 +144,7 @@ func MeasureBias(a algo.Algorithm, x *vec.Vector, w *workload.Workload, eps floa
 	answers := make([][]float64, trials)
 	for t := 0; t < trials; t++ {
 		rng := newRNG(seed + int64(t)*6_700_417)
-		if err := plan.Execute(noise.NewMeter(eps, rng), est); err != nil {
+		if err := executeTrial(a, plan, eps, rng, est, audit); err != nil {
 			return out, err
 		}
 		sc.ev.Reset(est)
@@ -172,7 +176,7 @@ func MeasureBias(a algo.Algorithm, x *vec.Vector, w *workload.Workload, eps floa
 
 // meanScaledError generates a data vector at the requested scale from the
 // shape and averages the algorithm's scaled error over trials.
-func meanScaledError(a algo.Algorithm, shape *vec.Vector, w *workload.Workload, scale int, eps float64, trials int, seed int64) (float64, error) {
+func meanScaledError(a algo.Algorithm, shape *vec.Vector, w *workload.Workload, scale int, eps float64, trials int, seed int64, audit bool) (float64, error) {
 	genRNG := newRNG(seed * 2_654_435_761 % math.MaxInt32)
 	counts := noise.Multinomial(genRNG, scale, shape.Data)
 	x := vec.New(shape.Dims...)
@@ -192,7 +196,7 @@ func meanScaledError(a algo.Algorithm, shape *vec.Vector, w *workload.Workload, 
 	errs := make([]float64, 0, trials)
 	for t := 0; t < trials; t++ {
 		rng := newRNG(seed + int64(t)*15_485_863)
-		if err := plan.Execute(noise.NewMeter(eps, rng), est); err != nil {
+		if err := executeTrial(a, plan, eps, rng, est, audit); err != nil {
 			return 0, err
 		}
 		sc.ev.Reset(est)

@@ -31,7 +31,7 @@ func TestExchangeabilityDataIndependent(t *testing.T) {
 	w := workload.Prefix(128)
 	for _, name := range []string{"IDENTITY", "PRIVELET", "H", "HB", "GREEDY-H"} {
 		a := mustAlgo(t, name)
-		res, err := CheckExchangeability(a, shape, w, 20_000, 0.4, 10, 12, 0.5, 5)
+		res, err := CheckExchangeability(a, shape, w, 20_000, 0.4, 10, 12, 0.5, 5, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -50,7 +50,7 @@ func TestExchangeabilityDataDependent(t *testing.T) {
 	w := workload.Prefix(128)
 	for _, name := range []string{"UNIFORM", "PHP", "EFPA", "DAWA", "AHP", "MWEM"} {
 		a := mustAlgo(t, name)
-		res, err := CheckExchangeability(a, shape, w, 20_000, 0.4, 10, 12, 1.0, 6)
+		res, err := CheckExchangeability(a, shape, w, 20_000, 0.4, 10, 12, 1.0, 6, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -73,7 +73,7 @@ func TestConsistencySweep(t *testing.T) {
 	sweep := []float64{0.01, 0.1, 1, 10, 1000}
 
 	for _, name := range []string{"IDENTITY", "HB", "DAWA", "EFPA"} {
-		res, err := CheckConsistency(mustAlgo(t, name), x, w, sweep, 3, 0.01, 11)
+		res, err := CheckConsistency(mustAlgo(t, name), x, w, sweep, 3, 0.01, 11, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -81,7 +81,7 @@ func TestConsistencySweep(t *testing.T) {
 			t.Errorf("%s: residual %v, expected decay (consistent algorithm)", name, res.ResidualAtMax)
 		}
 	}
-	res, err := CheckConsistency(mustAlgo(t, "UNIFORM"), x, w, sweep, 3, 0.01, 11)
+	res, err := CheckConsistency(mustAlgo(t, "UNIFORM"), x, w, sweep, 3, 0.01, 11, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMWEMInconsistentWithFixedT(t *testing.T) {
 	}
 	w := workload.Identity(n)
 	a := &algo.MWEM{T: 5, UpdateSweeps: 2}
-	res, err := CheckConsistency(a, x, w, []float64{0.1, 10, 1000}, 2, 0.01, 13)
+	res, err := CheckConsistency(a, x, w, []float64{0.1, 10, 1000}, 2, 0.01, 13, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMeasureBiasIdentityIsVarianceDominated(t *testing.T) {
 		x.Data[i] = 100
 	}
 	w := workload.Prefix(32)
-	bv, err := MeasureBias(mustAlgo(t, "IDENTITY"), x, w, 0.5, 60, 17)
+	bv, err := MeasureBias(mustAlgo(t, "IDENTITY"), x, w, 0.5, 60, 17, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestMeasureBiasUniformIsBiasDominated(t *testing.T) {
 	x := vec.New(n)
 	x.Data[0] = 1_000_000 // all mass in one cell
 	w := workload.Prefix(n)
-	bv, err := MeasureBias(mustAlgo(t, "UNIFORM"), x, w, 1.0, 40, 19)
+	bv, err := MeasureBias(mustAlgo(t, "UNIFORM"), x, w, 1.0, 40, 19, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,23 +172,29 @@ func buildPlans(cfg Config, x *vec.Vector) ([]algo.Plan, error) {
 	return plans, nil
 }
 
+// executeTrial is the one trial step of every loop in this package: it runs
+// plan once into est on a fresh meter over rng. With audit set the trial
+// runs through algo.ExecuteAudited, which fails it unless a's budget ledger
+// sums to exactly eps and matches its declared composition plan; otherwise
+// the meter is unaudited. The meter wraps the noise stream without
+// reordering it, so both ways write the identical estimate.
+func executeTrial(a algo.Algorithm, plan algo.Plan, eps float64, rng *rand.Rand, est []float64, audit bool) error {
+	if audit {
+		return algo.ExecuteAudited(a, plan, eps, rng, est)
+	}
+	return plan.Execute(noise.NewMeter(eps, rng), est)
+}
+
 // runCell executes one (sample, trial, algorithm) cell on its own RNG stream
 // through the sample's prepared plan and returns the scaled error. sc
-// provides the reusable evaluation and estimate buffers. With cfg.Audit set
-// the trial runs through algo.ExecuteAudited, which verifies the mechanism's
-// budget ledger after the run. Output is bit-identical to running the
+// provides the reusable evaluation and estimate buffers, and cfg.Audit
+// selects the audited trial step. Output is bit-identical to running the
 // algorithm directly: Run is Plan + Execute by construction.
 func runCell(cfg Config, p runPlan, plan algo.Plan, x *vec.Vector, trueAns []float64, s, t, i int, sc *evalScratch) (float64, error) {
 	a := cfg.Algorithms[i]
 	runRNG := newRNG(deriveSeed(cfg.Seed, s, t, i))
 	est := sc.estBuf(x.N())
-	var err error
-	if cfg.Audit {
-		err = algo.ExecuteAudited(a, plan, cfg.Eps, runRNG, est)
-	} else {
-		err = plan.Execute(noise.NewMeter(cfg.Eps, runRNG), est)
-	}
-	if err != nil {
+	if err := executeTrial(a, plan, cfg.Eps, runRNG, est, cfg.Audit); err != nil {
 		return 0, fmt.Errorf("core: %s on %s: %w", a.Name(), cfg.Dataset.Name, err)
 	}
 	sc.ev.Reset(est)

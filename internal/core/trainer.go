@@ -32,8 +32,9 @@ type Trainer struct {
 	// Seed fixes the training randomness.
 	Seed int64
 	// Audit runs every training trial through the budget-ledger audit
-	// (algo.RunAudited), so a candidate parameterization with broken budget
-	// arithmetic fails training instead of silently skewing the profile.
+	// (algo.ExecuteAudited), so a candidate parameterization with broken
+	// budget arithmetic fails training instead of silently skewing the
+	// profile.
 	Audit bool
 }
 
@@ -146,12 +147,7 @@ func (t *Trainer) Train(ctx context.Context) (*Profile, error) {
 				est := sc.estBuf(n)
 				for tr := 0; tr < trials; tr++ {
 					runRNG := newRNG(t.Seed + int64(li)*99_991 + int64(ci)*31_337 + int64(si)*7_907 + int64(tr))
-					if t.Audit {
-						err = algo.ExecuteAudited(a, plan, eps, runRNG, est)
-					} else {
-						err = plan.Execute(noise.NewMeter(eps, runRNG), est)
-					}
-					if err != nil {
+					if err := executeTrial(a, plan, eps, runRNG, est, t.Audit); err != nil {
 						return nil, err
 					}
 					sc.ev.Reset(est)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -186,6 +187,60 @@ func TestRegretSmoke(t *testing.T) {
 	for name, r := range reg {
 		if r < 1-1e-9 {
 			t.Fatalf("%s regret %v below 1 (impossible)", name, r)
+		}
+	}
+}
+
+// TestFinding8PrintsInScaleDatasetOrder: the flip lines come out by scale,
+// in the grid's order, then by dataset name — not in the map order of the
+// sweep's results, which changes from run to run. A 32-bin domain keeps the
+// sweep at a few milliseconds and flips 9 settings at this seed, so three
+// runs in map order would almost never all come out sorted.
+func TestFinding8PrintsInScaleDatasetOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	type key struct {
+		scale   int
+		dataset string
+	}
+	var first string
+	for run := 0; run < 3; run++ {
+		var buf bytes.Buffer
+		o := Options{Out: &buf, Quick: true, Seed: 1, Domain1D: 32}
+		flips, err := Finding8(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []key
+		for _, line := range strings.Split(buf.String(), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 3 || f[0] != "scale" {
+				continue
+			}
+			scale, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			keys = append(keys, key{int(scale), f[2]})
+		}
+		if len(keys) != flips || flips < 2 {
+			t.Fatalf("%d flip lines for %d flips; the order check needs at least 2:\n%s", len(keys), flips, buf.String())
+		}
+		rank := map[int]int{}
+		for i, s := range o.scales1D() {
+			rank[s] = i
+		}
+		for i := 1; i < len(keys); i++ {
+			a, b := keys[i-1], keys[i]
+			if rank[a.scale] > rank[b.scale] || (a.scale == b.scale && a.dataset >= b.dataset) {
+				t.Fatalf("run %d: flip lines out of (scale, dataset) order: %v before %v\n%s", run, a, b, buf.String())
+			}
+		}
+		if run == 0 {
+			first = buf.String()
+		} else if buf.String() != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", run, buf.String(), first)
 		}
 	}
 }

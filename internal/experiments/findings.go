@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dpbench/internal/algo"
@@ -119,7 +121,7 @@ func Finding7(o Options) (map[int]float64, error) {
 
 // Finding8 reproduces the risk-averse evaluation of Section 7.4: settings
 // where the best algorithm by mean error differs from the best by 95th
-// percentile.
+// percentile. Flips print in (scale, dataset) order.
 func Finding8(o Options) (int, error) {
 	res, err := Fig1aData(o)
 	if err != nil {
@@ -128,8 +130,10 @@ func Finding8(o Options) (int, error) {
 	flips := 0
 	total := 0
 	fmt.Fprintf(o.Out, "\nFinding 8 — mean-best vs p95-best flips (1D)\n")
-	for scale, perDataset := range res.raw {
-		for ds, results := range perDataset {
+	for _, scale := range o.scales1D() {
+		perDataset := res.raw[scale]
+		for _, ds := range slices.Sorted(maps.Keys(perDataset)) {
+			results := perDataset[ds]
 			total++
 			mb := core.BestByMean(results)
 			pb := core.BestByP95(results)
@@ -165,7 +169,7 @@ func Finding9(o Options) (map[string]core.BiasVariance, error) {
 		if err != nil {
 			return nil, err
 		}
-		bv, err := core.MeasureBias(a, x, w, Eps, o.trials()*4, o.Seed+91)
+		bv, err := core.MeasureBias(a, x, w, Eps, o.trials()*4, o.Seed+91, o.Audit)
 		if err != nil {
 			return nil, err
 		}
@@ -190,13 +194,8 @@ func Finding10(o Options) error {
 		// sums floats, so map order here would make the averages (and the
 		// beaten-by sets near a tie) nondeterministic.
 		perDataset := res.raw[scale]
-		datasets := make([]string, 0, len(perDataset))
-		for name := range perDataset {
-			datasets = append(datasets, name)
-		}
-		sort.Strings(datasets)
 		avg := map[string][]float64{}
-		for _, name := range datasets {
+		for _, name := range slices.Sorted(maps.Keys(perDataset)) {
 			for _, r := range perDataset[name] {
 				avg[r.Name] = append(avg[r.Name], r.MeanError())
 			}
@@ -244,7 +243,7 @@ func Exchangeability(o Options) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.CheckExchangeability(a, shape, w, 20_000, 0.4, 10, o.trials()*3, 1.0, o.Seed+95)
+		res, err := core.CheckExchangeability(a, shape, w, 20_000, 0.4, 10, o.trials()*3, 1.0, o.Seed+95, o.Audit)
 		if err != nil {
 			return err
 		}
@@ -275,7 +274,7 @@ func Consistency(o Options) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.CheckConsistency(a, x, w, sweep, o.trials(), 0.01, o.Seed+97)
+		res, err := core.CheckConsistency(a, x, w, sweep, o.trials(), 0.01, o.Seed+97, o.Audit)
 		if err != nil {
 			return err
 		}

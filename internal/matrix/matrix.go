@@ -6,7 +6,8 @@
 // package provides dense matrices, the pseudo-inverse reconstruction, exact
 // expected-error computation, and the strategy matrices of the hierarchical
 // and wavelet mechanisms so their matrix-mechanism equivalence is testable.
-// No other package imports it yet; its tests are its only callers.
+// No production code imports it: it is the exact-variance oracle that
+// internal/algo's tests hold the data-independent mechanisms to.
 package matrix
 
 import (

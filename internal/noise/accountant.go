@@ -128,19 +128,11 @@ func (a *Accountant) Spend(label string, eps float64) error {
 // SpendParallel consumes eps for a parallel-composed family of subroutines
 // operating on disjoint partitions: within one scope, repeated SpendParallel
 // calls with the same label charge only the running maximum. A scope stays
-// open until a sequential spend with the same label (or CloseParallel) ends
-// it; parallel spends under other labels may interleave freely, which is what
+// open until a sequential spend with the same label ends it; parallel
+// spends under other labels may interleave freely, which is what
 // level-ordered tree walks and nested grids produce.
 func (a *Accountant) SpendParallel(label string, eps float64) error {
 	return a.spend(label, eps, true)
-}
-
-// CloseParallel explicitly ends the label's open parallel scope, so a
-// subsequent SpendParallel with the same label is charged in full again.
-func (a *Accountant) CloseParallel(label string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.parMax, label)
 }
 
 const budgetTolerance = 1e-9

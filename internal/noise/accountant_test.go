@@ -144,16 +144,6 @@ func TestAccountantParallelScopesInterleave(t *testing.T) {
 	}
 }
 
-func TestAccountantCloseParallel(t *testing.T) {
-	a, _ := NewAccountant(1.0)
-	a.SpendParallel("s", 0.4)
-	a.CloseParallel("s")
-	a.SpendParallel("s", 0.4)
-	if got := a.Spent(); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("spent %v, want 0.8 after explicit scope close", got)
-	}
-}
-
 func TestAccountantResetRetainsCapacity(t *testing.T) {
 	a, _ := NewAccountant(1.0)
 	for i := 0; i < 100; i++ {

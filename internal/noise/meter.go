@@ -73,15 +73,8 @@ func newPooledAccountant(total float64) *Accountant {
 	return a
 }
 
-// Rand exposes the underlying RNG for draws that carry no privacy cost
-// (e.g. tie-breaking); privacy-relevant draws must use the metered methods.
-func (m *Meter) Rand() *rand.Rand { return m.rng }
-
 // Total returns the meter's privacy budget.
 func (m *Meter) Total() float64 { return m.total }
-
-// Audited reports whether charges are being recorded.
-func (m *Meter) Audited() bool { return m.acct != nil }
 
 // Spent returns the budget consumed so far (0 when unaudited).
 func (m *Meter) Spent() float64 {
@@ -89,14 +82,6 @@ func (m *Meter) Spent() float64 {
 		return 0
 	}
 	return m.acct.Spent()
-}
-
-// Ledger returns a copy of the recorded spends (nil when unaudited).
-func (m *Meter) Ledger() []Spend {
-	if m.acct == nil {
-		return nil
-	}
-	return m.acct.Ledger()
 }
 
 // Err returns the first budget or configuration error observed by this meter
@@ -160,17 +145,11 @@ func (m *Meter) LaplacePar(label string, scale, eps float64) float64 {
 	return Laplace(m.rng, scale)
 }
 
-// LaplaceVec adds independent Laplace(scale) noise to each element of x,
-// charging eps once for the whole vector-valued query (the components of one
-// vector query compose by its total L1 sensitivity, not per component).
-func (m *Meter) LaplaceVec(label string, x []float64, scale, eps float64) []float64 {
-	m.charge(label, eps, false)
-	return LaplaceVecInto(m.rng, make([]float64, len(x)), x, scale)
-}
-
-// LaplaceVecInto is LaplaceVec writing into a caller-provided destination, so
-// plan-execute hot paths add vector noise without allocating. The noise
-// stream is identical to LaplaceVec's.
+// LaplaceVecInto writes x plus independent Laplace(scale) noise on each
+// element into the caller-provided dst, charging eps once for the whole
+// vector-valued query (the components of one vector query compose by its
+// total L1 sensitivity, not per component), so plan-execute hot paths add
+// vector noise without allocating.
 //
 //dp:hotpath
 func (m *Meter) LaplaceVecInto(label string, dst, x []float64, scale, eps float64) []float64 {
@@ -189,23 +168,12 @@ func (m *Meter) LaplaceVecParInto(label string, dst, x []float64, scale, eps flo
 	return LaplaceVecInto(m.rng, dst, x, scale)
 }
 
-// LaplaceMechanism perturbs f with noise calibrated to the given L1
-// sensitivity and budget (Definition 2), charging eps sequentially. A
-// non-positive epsilon is recorded as a meter error and nil returned —
-// never the unperturbed input, so a caller that forgets to check Err
-// cannot release noise-free data.
-func (m *Meter) LaplaceMechanism(label string, f []float64, sensitivity, eps float64) []float64 {
-	if eps <= 0 {
-		m.fail(fmt.Errorf("noise: non-positive epsilon %v in Laplace mechanism", eps))
-		return nil
-	}
-	m.charge(label, eps, false)
-	return LaplaceVecInto(m.rng, make([]float64, len(f)), f, sensitivity/eps)
-}
-
-// LaplaceMechanismInto is LaplaceMechanism writing into a caller-provided
-// destination (len(f)). On a non-positive epsilon the error is recorded and
-// dst is left untouched — never filled with unperturbed input.
+// LaplaceMechanismInto perturbs f with noise calibrated to the given L1
+// sensitivity and budget (Definition 2), writing into the caller-provided dst
+// (len(f)) and charging eps sequentially. A non-positive epsilon is recorded
+// as a meter error and nil returned, with dst left untouched — never filled
+// with unperturbed input, so a caller that forgets to check Err cannot
+// release noise-free data.
 //
 //dp:hotpath
 func (m *Meter) LaplaceMechanismInto(label string, dst, f []float64, sensitivity, eps float64) []float64 {
@@ -235,29 +203,20 @@ func (m *Meter) Geometric(label string, sensitivity, eps float64) int64 {
 	return Geometric(m.rng, sensitivity/eps)
 }
 
-// ExpMech selects an index from scores with the exponential mechanism,
-// charging eps sequentially. Invalid input (empty scores, non-positive
-// epsilon) is recorded as a meter error and index 0 returned.
-func (m *Meter) ExpMech(label string, scores []float64, sensitivity, eps float64) int {
-	return m.expMech(label, scores, sensitivity, eps, nil, false)
-}
-
-// ExpMechPar is ExpMech charged under parallel composition, for selections
-// whose scores depend only on disjoint data partitions (e.g. PHP's per-
-// interval bisections within one round).
-func (m *Meter) ExpMechPar(label string, scores []float64, sensitivity, eps float64) int {
-	return m.expMech(label, scores, sensitivity, eps, nil, true)
-}
-
-// ExpMechBuf is ExpMech with a caller-provided weight buffer, so repeated
-// selections allocate nothing.
+// ExpMechBuf selects an index from scores with the exponential mechanism,
+// charging eps sequentially. weights is a caller-provided buffer
+// (len(scores), or nil to allocate), so repeated selections allocate
+// nothing. Invalid input (empty scores, non-positive epsilon) is recorded as
+// a meter error and index 0 returned.
 //
 //dp:hotpath
 func (m *Meter) ExpMechBuf(label string, scores []float64, sensitivity, eps float64, weights []float64) int {
 	return m.expMech(label, scores, sensitivity, eps, weights, false)
 }
 
-// ExpMechBufPar is ExpMechPar with a caller-provided weight buffer.
+// ExpMechBufPar is ExpMechBuf charged under parallel composition, for
+// selections whose scores depend only on disjoint data partitions (e.g.
+// PHP's per-interval bisections within one round).
 //
 //dp:hotpath
 func (m *Meter) ExpMechBufPar(label string, scores []float64, sensitivity, eps float64, weights []float64) int {
@@ -275,33 +234,18 @@ func (m *Meter) expMech(label string, scores []float64, sensitivity, eps float64
 	return idx
 }
 
-// Sub opens a sequentially composed sub-meter holding the fraction frac of
-// this meter's total budget, for nested budget splits (DAWA handing stage two
-// to GreedyH). The child's spends accumulate in its own ledger; Close charges
-// the parent once, under label, with the child's actual total.
-func (m *Meter) Sub(label string, frac float64) *Meter {
-	return m.sub(label, frac*m.total, false)
-}
-
-// SubEps is Sub with an absolute child budget, for splits that are not a
-// plain fraction of the parent's total (e.g. fractions of an eps that already
-// excludes a scale-estimation spend).
-func (m *Meter) SubEps(label string, eps float64) *Meter {
-	return m.sub(label, eps, false)
-}
-
-// SubParEps opens a parallel-composed sub-meter: siblings created with the
-// same label operate on disjoint data partitions, so their closed totals
-// compose by maximum, not sum (SF's per-bucket hierarchies). Each child may
-// spend up to the full eps.
-func (m *Meter) SubParEps(label string, eps float64) *Meter {
-	return m.sub(label, eps, true)
-}
-
-func (m *Meter) sub(label string, eps float64, parallel bool) *Meter {
-	c := &Meter{}
-	m.initSub(c, label, eps, parallel)
-	return c
+// ResetSub initializes sub — a caller-retained Meter, so hot paths that open
+// many short-lived scopes allocate nothing (SF opens one per bucket per
+// trial) — as a sub-meter of m with the absolute budget eps, for nested
+// budget splits (DAWA handing stage two to GreedyH). The previous contents
+// of sub are discarded; it must have been Closed (or never used) before
+// reuse. The child's spends accumulate in its own ledger; Close charges the
+// parent once, under label, with the child's actual total. With parallel
+// set, siblings opened under the same label operate on disjoint data
+// partitions, so their closed totals compose by maximum, not sum (SF's
+// per-bucket hierarchies), and each child may spend up to the full eps.
+func (m *Meter) ResetSub(sub *Meter, label string, eps float64, parallel bool) {
+	m.initSub(sub, label, eps, parallel)
 }
 
 func (m *Meter) initSub(c *Meter, label string, eps float64, parallel bool) {
@@ -313,16 +257,6 @@ func (m *Meter) initSub(c *Meter, label string, eps float64, parallel bool) {
 	if m.acct != nil {
 		c.acct = newPooledAccountant(eps)
 	}
-}
-
-// ResetSub re-initializes sub — a caller-retained Meter — as a sub-meter of m
-// with an absolute budget, avoiding the per-call allocation of SubEps /
-// SubParEps on hot paths that open many short-lived scopes (SF opens one per
-// bucket per trial). The previous contents of sub are discarded; it must have
-// been Closed (or never used) before reuse. Semantics otherwise match SubEps
-// (parallel=false) and SubParEps (parallel=true).
-func (m *Meter) ResetSub(sub *Meter, label string, eps float64, parallel bool) {
-	m.initSub(sub, label, eps, parallel)
 }
 
 // Close finishes a sub-meter: the parent is charged the child's spent total

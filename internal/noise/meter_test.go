@@ -8,14 +8,14 @@ import (
 
 func TestMeterUnauditedChargesNothing(t *testing.T) {
 	m := NewMeter(1.0, rand.New(rand.NewSource(1)))
-	if m.Audited() {
+	if m.acct != nil {
 		t.Fatal("NewMeter must not attach an accountant")
 	}
 	m.Laplace("a", 1, 0.5)
 	m.LaplacePar("b", 1, 0.5)
 	m.Charge("c", 0.25)
-	if m.Spent() != 0 || m.Ledger() != nil {
-		t.Fatalf("unaudited meter recorded spends: %v / %v", m.Spent(), m.Ledger())
+	if m.Spent() != 0 || m.acct != nil {
+		t.Fatalf("unaudited meter recorded spends: %v", m.Spent())
 	}
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,8 @@ func TestMeterSubNestedSplit(t *testing.T) {
 	}
 	defer m.Release()
 	m.Laplace("stage1", 10, 0.5)
-	sub := m.Sub("stage2", 0.75) // 1.5 of the 2.0 total
+	var sub Meter
+	m.ResetSub(&sub, "stage2", 1.5, false) // 1.5 of the 2.0 total
 	if got := sub.Total(); got != 1.5 {
 		t.Fatalf("sub total %v, want 1.5", got)
 	}
@@ -149,7 +150,8 @@ func TestMeterSubOverspendSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release()
-	sub := m.SubEps("s", 0.5)
+	var sub Meter
+	m.ResetSub(&sub, "s", 0.5, false)
 	sub.Laplace("a", 10, 0.4)
 	sub.Laplace("a", 10, 0.4) // exceeds the child's 0.5 cap
 	sub.Close()
@@ -168,8 +170,9 @@ func TestMeterSubParallelBuckets(t *testing.T) {
 	}
 	defer m.Release()
 	m.Laplace("head", 10, 0.4)
+	var b Meter
 	for i := 0; i < 3; i++ {
-		b := m.SubParEps("bucket", 0.6)
+		m.ResetSub(&b, "bucket", 0.6, true)
 		b.LaplacePar("level0", 10, 0.2)
 		b.LaplacePar("level1", 10, 0.4)
 		b.Close()
@@ -192,8 +195,9 @@ func TestMeterSubUnevenParallelBucketsChargeMax(t *testing.T) {
 	}
 	defer m.Release()
 	labels := []string{"lvl0", "lvl1", "lvl2", "lvl3", "lvl4"}
+	var b Meter
 	for _, levels := range []int{3, 5} {
-		b := m.SubParEps("bucket", 1.0)
+		m.ResetSub(&b, "bucket", 1.0, true)
 		for l := 0; l < levels; l++ {
 			b.LaplacePar(labels[l], 10, 1.0/float64(levels))
 		}
@@ -206,8 +210,8 @@ func TestMeterSubUnevenParallelBucketsChargeMax(t *testing.T) {
 
 func TestMeterErrOnBadExpMech(t *testing.T) {
 	m := NewMeter(1.0, rand.New(rand.NewSource(12)))
-	if got := m.ExpMech("sel", nil, 1, 0.5); got != 0 {
-		t.Fatalf("ExpMech on empty scores returned %d", got)
+	if got := m.ExpMechBuf("sel", nil, 1, 0.5, nil); got != 0 {
+		t.Fatalf("ExpMechBuf on empty scores returned %d", got)
 	}
 	if m.Err() == nil {
 		t.Fatal("empty scores must record a meter error")
@@ -248,9 +252,9 @@ func TestMeterChargeMatchesDraws(t *testing.T) {
 	}
 	defer m.Release()
 	m.Charge("forfeit", 0.25)
-	out := m.LaplaceVec("vec", []float64{1, 2, 3}, 2, 0.5)
+	out := m.LaplaceVecInto("vec", make([]float64, 3), []float64{1, 2, 3}, 2, 0.5)
 	if len(out) != 3 {
-		t.Fatalf("LaplaceVec len %d", len(out))
+		t.Fatalf("LaplaceVecInto len %d", len(out))
 	}
 	if g := m.Geometric("geo", 1, 0.25); g == math.MaxInt64 {
 		t.Fatal("geometric overflow")

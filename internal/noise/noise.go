@@ -34,15 +34,10 @@ func Laplace(rng *rand.Rand, scale float64) float64 {
 	return -scale * math.Log(1-2*u)
 }
 
-// LaplaceVec adds independent Laplace(scale) noise to each element of x and
-// returns a new slice; x is not modified.
-func LaplaceVec(rng *rand.Rand, x []float64, scale float64) []float64 {
-	return LaplaceVecInto(rng, make([]float64, len(x)), x, scale)
-}
-
-// LaplaceVecInto is LaplaceVec writing into a caller-provided destination
-// (len(x)), so per-trial hot paths draw the identical noise stream without
-// allocating. dst must not alias x unless the caller no longer needs x.
+// LaplaceVecInto writes x plus independent Laplace(scale) noise on each
+// element into a caller-provided destination (len(x)), so per-trial hot
+// paths draw noise without allocating. dst must not alias x unless the
+// caller no longer needs x.
 func LaplaceVecInto(rng *rand.Rand, dst, x []float64, scale float64) []float64 {
 	if len(dst) != len(x) {
 		panic("noise: LaplaceVecInto length mismatch")
@@ -51,18 +46,6 @@ func LaplaceVecInto(rng *rand.Rand, dst, x []float64, scale float64) []float64 {
 		dst[i] = v + Laplace(rng, scale)
 	}
 	return dst
-}
-
-// LaplaceMechanism perturbs the vector-valued query answer f with noise
-// calibrated to the given L1 sensitivity and privacy budget epsilon,
-// implementing Definition 2 of the paper. A non-positive epsilon means an
-// unbounded noise scale is required; it is returned as an error so a bad
-// trial configuration fails that run instead of crashing a worker pool.
-func LaplaceMechanism(rng *rand.Rand, f []float64, sensitivity, epsilon float64) ([]float64, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("noise: non-positive epsilon %v in Laplace mechanism", epsilon)
-	}
-	return LaplaceVec(rng, f, sensitivity/epsilon), nil
 }
 
 // Geometric draws from the two-sided geometric ("discrete Laplace")
@@ -85,20 +68,16 @@ func Geometric(rng *rand.Rand, scale float64) int64 {
 	return g() - g()
 }
 
-// ExpMech selects an index from scores using the exponential mechanism: index
-// i is chosen with probability proportional to exp(epsilon*scores[i]/(2*sens)).
-// Scores are shifted by their maximum before exponentiation for numerical
-// stability, which does not change the distribution. If epsilon is +Inf the
-// argmax is returned (ties broken uniformly), matching the limiting behaviour
-// proved in Lemma 2 of the paper. Empty scores or a non-positive finite
-// epsilon are configuration errors, returned rather than panicking.
-func ExpMech(rng *rand.Rand, scores []float64, sensitivity, epsilon float64) (int, error) {
-	return ExpMechBuf(rng, scores, sensitivity, epsilon, nil)
-}
-
-// ExpMechBuf is ExpMech with a caller-provided weight buffer (len(scores) or
-// nil), so repeated selections — e.g. MWEM's per-round query choice — do not
-// allocate. The sampled distribution is identical to ExpMech's.
+// ExpMechBuf selects an index from scores using the exponential mechanism:
+// index i is chosen with probability proportional to
+// exp(epsilon*scores[i]/(2*sens)). Scores are shifted by their maximum
+// before exponentiation for numerical stability, which does not change the
+// distribution. If epsilon is +Inf the argmax is returned (ties broken
+// uniformly), matching the limiting behaviour proved in Lemma 2 of the
+// paper. Empty scores or a non-positive finite epsilon are configuration
+// errors, returned rather than panicking. weights is a caller-provided
+// buffer (len(scores), or nil to allocate), so repeated selections — e.g.
+// MWEM's per-round query choice — do not allocate.
 func ExpMechBuf(rng *rand.Rand, scores []float64, sensitivity, epsilon float64, weights []float64) (int, error) {
 	if len(scores) == 0 {
 		return 0, fmt.Errorf("noise: empty score list in exponential mechanism")

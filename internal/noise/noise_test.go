@@ -56,7 +56,7 @@ func TestLaplaceSymmetry(t *testing.T) {
 func TestLaplaceVecDoesNotMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := []float64{1, 2, 3}
-	out := LaplaceVec(rng, x, 1)
+	out := LaplaceVecInto(rng, make([]float64, len(x)), x, 1)
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -66,18 +66,25 @@ func TestLaplaceVecDoesNotMutate(t *testing.T) {
 }
 
 func TestLaplaceMechanismRejectsBadEps(t *testing.T) {
-	if _, err := LaplaceMechanism(rand.New(rand.NewSource(1)), []float64{1}, 1, 0); err == nil {
-		t.Fatal("expected an error for eps = 0")
-	}
-	if _, err := LaplaceMechanism(rand.New(rand.NewSource(1)), []float64{1}, 1, -1); err == nil {
-		t.Fatal("expected an error for eps < 0")
+	for _, eps := range []float64{0, -1} {
+		m := NewMeter(1, rand.New(rand.NewSource(1)))
+		dst := []float64{7}
+		if out := m.LaplaceMechanismInto("f", dst, []float64{1}, 1, eps); out != nil {
+			t.Fatalf("eps = %v: returned %v, want nil", eps, out)
+		}
+		if m.Err() == nil {
+			t.Fatalf("eps = %v: expected a meter error", eps)
+		}
+		if dst[0] != 7 {
+			t.Fatalf("eps = %v: dst written (%v) on a rejected draw", eps, dst[0])
+		}
 	}
 }
 
-// mustExpMech unwraps ExpMech in tests exercising valid configurations.
+// mustExpMech unwraps ExpMechBuf in tests exercising valid configurations.
 func mustExpMech(t *testing.T, rng *rand.Rand, scores []float64, sens, eps float64) int {
 	t.Helper()
-	i, err := ExpMech(rng, scores, sens, eps)
+	i, err := ExpMechBuf(rng, scores, sens, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +141,10 @@ func TestExpMechDistribution(t *testing.T) {
 }
 
 func TestExpMechRejectsBadInput(t *testing.T) {
-	if _, err := ExpMech(rand.New(rand.NewSource(1)), nil, 1, 1); err == nil {
+	if _, err := ExpMechBuf(rand.New(rand.NewSource(1)), nil, 1, 1, nil); err == nil {
 		t.Fatal("expected an error for empty scores")
 	}
-	if _, err := ExpMech(rand.New(rand.NewSource(1)), []float64{1, 2}, 1, 0); err == nil {
+	if _, err := ExpMechBuf(rand.New(rand.NewSource(1)), []float64{1, 2}, 1, 0, nil); err == nil {
 		t.Fatal("expected an error for eps = 0")
 	}
 }

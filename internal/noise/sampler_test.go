@@ -113,7 +113,7 @@ func TestLaplaceVecParIntoLedger(t *testing.T) {
 	if got := m.Spent(); math.Abs(got-0.4) > 1e-12 {
 		t.Fatalf("two parallel charges of 0.4 under one label must cost 0.4, ledger says %v", got)
 	}
-	for _, s := range m.Ledger() {
+	for _, s := range m.acct.Ledger() {
 		if !s.Parallel {
 			t.Fatalf("spend %+v not recorded as parallel", s)
 		}

@@ -37,9 +37,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between order statistics. DPBench reports the 95th percentile
 // as its risk-averse error measure (Principle 8). It copies xs; repeated

@@ -26,13 +26,6 @@ func TestVariance(t *testing.T) {
 	}
 }
 
-func TestStdDevMatchesVariance(t *testing.T) {
-	xs := []float64{1, 5, 9, 13}
-	if got, want := StdDev(xs), math.Sqrt(Variance(xs)); got != want {
-		t.Fatalf("StdDev = %v, want %v", got, want)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	cases := []struct {

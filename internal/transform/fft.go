@@ -21,19 +21,11 @@ func FFT(x []complex128) []complex128 {
 	return bluestein(x, false)
 }
 
-// IFFT computes the inverse discrete Fourier transform of x (normalized by
-// 1/n so that IFFT(FFT(x)) == x).
-func IFFT(x []complex128) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	return IFFTInto(make([]complex128, len(x)), x)
-}
-
-// IFFTInto is IFFT writing into a caller-provided destination (len(x)), so
+// IFFTInto computes the inverse discrete Fourier transform of x (normalized
+// by 1/n, so it inverts FFT) into a caller-provided destination (len(x)), so
 // per-trial hot paths (EFPA's reconstruction) invert without allocating on
 // power-of-two lengths; other lengths fall back to Bluestein's internal
-// buffers. dst must not alias x. The arithmetic is identical to IFFT.
+// buffers. dst must not alias x.
 func IFFTInto(dst, x []complex128) []complex128 {
 	n := len(x)
 	if len(dst) != n {

@@ -38,19 +38,9 @@ func HaarForward(x []float64) ([]float64, error) {
 	return coeffs, nil
 }
 
-// HaarInverse inverts HaarForward.
-func HaarInverse(c []float64) ([]float64, error) {
-	n := len(c)
-	dst := make([]float64, n)
-	if err := HaarInverseInto(dst, make([]float64, n), c); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // HaarInverseInto inverts HaarForward into dst using tmp as ping-pong
-// scratch (both len(c)); no allocations, identical arithmetic to
-// HaarInverse. dst and tmp must not alias c or each other.
+// scratch (both len(c)), without allocating. dst and tmp must not alias c or
+// each other.
 func HaarInverseInto(dst, tmp, c []float64) error {
 	n := len(c)
 	if n == 0 || n&(n-1) != 0 {
@@ -73,19 +63,4 @@ func HaarInverseInto(dst, tmp, c []float64) error {
 		copy(dst, cur)
 	}
 	return nil
-}
-
-// HaarLevel returns the tree level of coefficient index i in the layout
-// produced by HaarForward: level 0 is the average coefficient, level 1 the
-// root detail coefficient, level l the 2^(l-1) coefficients at depth l.
-func HaarLevel(i int) int {
-	if i == 0 {
-		return 0
-	}
-	level := 0
-	for i > 0 {
-		i >>= 1
-		level++
-	}
-	return level
 }

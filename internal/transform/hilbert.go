@@ -18,24 +18,6 @@ func HilbertD2XY(order uint, d int) (x, y int) {
 	return x, y
 }
 
-// HilbertXY2D converts (x, y) coordinates on a 2^k x 2^k grid into the
-// distance along the Hilbert curve of order k.
-func HilbertXY2D(order uint, x, y int) int {
-	d := 0
-	for s := 1 << (order - 1); s > 0; s >>= 1 {
-		var rx, ry int
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
-		d += s * s * ((3 * rx) ^ ry)
-		x, y = hilbertRot(s, x, y, rx, ry)
-	}
-	return d
-}
-
 func hilbertRot(s, x, y, rx, ry int) (int, int) {
 	if ry == 0 {
 		if rx == 1 {
@@ -81,14 +63,4 @@ func HilbertLinearize(data []float64, side int) (out []float64, perm []int, err 
 		perm[d] = src
 	}
 	return out, perm, nil
-}
-
-// HilbertDelinearize inverts HilbertLinearize given the permutation it
-// produced: result[perm[d]] = lin[d].
-func HilbertDelinearize(lin []float64, perm []int) []float64 {
-	out := make([]float64, len(lin))
-	for d, src := range perm {
-		out[src] = lin[d]
-	}
-	return out
 }

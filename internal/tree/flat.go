@@ -339,14 +339,8 @@ func SharedQuad(nx, ny, maxHeight int) (*Flat, error) {
 
 // --- per-trial passes ---
 
-// N returns the number of cells the tree covers.
-func (f *Flat) N() int { return f.n }
-
 // Height returns the number of levels (a single leaf has height 1).
 func (f *Flat) Height() int { return f.height }
-
-// NumNodes returns the node count.
-func (f *Flat) NumNodes() int { return len(f.depth) }
 
 // Acquire returns a Scratch for one trial over this shared tree.
 func (f *Flat) Acquire() *Scratch { return f.pool.Get().(*Scratch) }

@@ -67,9 +67,9 @@ func refKDRoot(t *testing.T, nx, ny, maxHeight int, cuts []int) *Node {
 // assertSameLayout compares every array of got with want, entry by entry.
 func assertSameLayout(t *testing.T, name string, got, want *Flat) {
 	t.Helper()
-	if got.N() != want.N() || got.Height() != want.Height() || got.NumNodes() != want.NumNodes() {
+	if got.n != want.n || got.Height() != want.Height() || len(got.depth) != len(want.depth) {
 		t.Fatalf("%s: shape mismatch (N %d/%d, height %d/%d, nodes %d/%d)", name,
-			got.N(), want.N(), got.Height(), want.Height(), got.NumNodes(), want.NumNodes())
+			got.n, want.n, got.Height(), want.Height(), len(got.depth), len(want.depth))
 	}
 	for _, a := range []struct {
 		field     string
@@ -98,7 +98,7 @@ func assertSameLayout(t *testing.T, name string, got, want *Flat) {
 func flatTrial(f *Flat, sc *Scratch, data, budget []float64, seed int64) []float64 {
 	f.ComputeSums(data, sc)
 	f.MeasureInto(noise.NewMeter(1, rand.New(rand.NewSource(seed))), sc, budget)
-	out := make([]float64, f.N())
+	out := make([]float64, f.n)
 	f.InferInto(sc, out)
 	return out
 }
@@ -146,11 +146,11 @@ func TestFlatMatchesNodeBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if flat.N() != root.Size() || flat.Height() != root.Height() || flat.NumNodes() != root.CountNodes() {
+			if flat.n != root.Size() || flat.Height() != root.Height() || len(flat.depth) != root.CountNodes() {
 				t.Fatalf("flat N/height/nodes %d/%d/%d, node %d/%d/%d",
-					flat.N(), flat.Height(), flat.NumNodes(), root.Size(), root.Height(), root.CountNodes())
+					flat.n, flat.Height(), len(flat.depth), root.Size(), root.Height(), root.CountNodes())
 			}
-			data := make([]float64, flat.N())
+			data := make([]float64, flat.n)
 			rng := rand.New(rand.NewSource(7))
 			for i := range data {
 				data[i] = float64(rng.Intn(300))
@@ -165,7 +165,7 @@ func TestFlatMatchesNodeBitwise(t *testing.T) {
 					append([]float64{0}, UniformLevelBudget(0.8, root.Height())[1:]...),
 				} {
 					root.Measure(noise.NewMeter(1, rand.New(rand.NewSource(seed))), data, budget)
-					want := root.Infer(flat.N())
+					want := root.Infer(flat.n)
 					got := flatTrial(flat, sc, data, budget, seed)
 					for i := range want {
 						if got[i] != want[i] {

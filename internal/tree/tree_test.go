@@ -12,7 +12,7 @@ import (
 // leafCells returns the cells each leaf of f covers, in node order.
 func leafCells(f *Flat) [][]int32 {
 	var out [][]int32
-	for i := 0; i < f.NumNodes(); i++ {
+	for i := 0; i < len(f.depth); i++ {
 		if f.isLeaf(i) {
 			out = append(out, f.cells[f.celOff[i]:f.celOff[i+1]])
 		}
@@ -24,7 +24,7 @@ func leafCells(f *Flat) [][]int32 {
 // exactly once.
 func assertPartition(t *testing.T, f *Flat) {
 	t.Helper()
-	seen := make([]bool, f.N())
+	seen := make([]bool, f.n)
 	for _, cells := range leafCells(f) {
 		for _, c := range cells {
 			if seen[c] {
@@ -50,7 +50,7 @@ func measure(f *Flat, rng *rand.Rand, data, budget []float64) *Scratch {
 
 // infer returns the cell estimates of a measured scratch.
 func infer(f *Flat, sc *Scratch) []float64 {
-	out := make([]float64, f.N())
+	out := make([]float64, f.n)
 	f.InferInto(sc, out)
 	return out
 }
@@ -65,13 +65,13 @@ func TestBuildIntervalStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range []*Flat{shared, &rebuilt} {
-		if f.N() != 8 {
-			t.Fatalf("N = %d, want 8", f.N())
+		if f.n != 8 {
+			t.Fatalf("N = %d, want 8", f.n)
 		}
 		if h := f.Height(); h != 4 {
 			t.Fatalf("height = %d, want 4", h)
 		}
-		if n := f.NumNodes(); n != 15 {
+		if n := len(f.depth); n != 15 {
 			t.Fatalf("nodes = %d, want 15", n)
 		}
 	}
@@ -82,8 +82,8 @@ func TestBuildIntervalNonPow2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.N() != 10 {
-		t.Fatalf("N = %d, want 10", f.N())
+	if f.n != 10 {
+		t.Fatalf("N = %d, want 10", f.n)
 	}
 	// Leaves must partition [0,10) exactly.
 	assertPartition(t, f)
@@ -110,8 +110,8 @@ func TestBuildQuadCoversGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.N() != 64 {
-		t.Fatalf("N = %d, want 64", f.N())
+	if f.n != 64 {
+		t.Fatalf("N = %d, want 64", f.n)
 	}
 	assertPartition(t, f)
 }
@@ -152,8 +152,8 @@ func TestBuildGridBranching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.N() != 81 {
-		t.Fatalf("N = %d, want 81", f.N())
+	if f.n != 81 {
+		t.Fatalf("N = %d, want 81", f.n)
 	}
 	if got := f.kidOff[1] - f.kidOff[0]; got != 9 {
 		t.Fatalf("root children = %d, want 9", got)
@@ -168,8 +168,8 @@ func TestRebuildKDQuadRegions(t *testing.T) {
 	if err := f.RebuildKD(8, 4, 3, []int{4, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if f.N() != 32 || f.Height() != 3 {
-		t.Fatalf("N %d height %d, want 32 and 3", f.N(), f.Height())
+	if f.n != 32 || f.Height() != 3 {
+		t.Fatalf("N %d height %d, want 32 and 3", f.n, f.Height())
 	}
 	sc := NewScratch()
 	data := make([]float64, 32)
@@ -267,7 +267,7 @@ func TestInferConsistency(t *testing.T) {
 			t.Fatal("non-finite estimate")
 		}
 	}
-	for i := 0; i < f.NumNodes(); i++ {
+	for i := 0; i < len(f.depth); i++ {
 		if f.isLeaf(i) {
 			continue
 		}
@@ -365,7 +365,7 @@ func TestIntervalLeafCoverageProperty(t *testing.T) {
 			}
 			covered++
 		}
-		return covered == n && f.N() == n
+		return covered == n && f.n == n
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

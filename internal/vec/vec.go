@@ -170,18 +170,6 @@ func (v *Vector) Coarsen(dims ...int) (*Vector, error) {
 	return out, nil
 }
 
-// L1Distance returns the L1 distance between two vectors of equal length.
-func L1Distance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("vec: length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
 // L2Distance returns the Euclidean distance between two vectors of equal
 // length.
 func L2Distance(a, b []float64) float64 {
@@ -194,13 +182,4 @@ func L2Distance(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// Sum returns the sum of the elements of s.
-func Sum(s []float64) float64 {
-	var t float64
-	for _, x := range s {
-		t += x
-	}
-	return t
 }

@@ -102,8 +102,12 @@ func TestClone(t *testing.T) {
 func TestShapeSumsToOne(t *testing.T) {
 	v, _ := FromData([]float64{2, 3, 5}, 3)
 	p := v.Shape()
-	if !almostEqual(Sum(p), 1, 1e-12) {
-		t.Fatalf("shape sums to %v, want 1", Sum(p))
+	var sum float64
+	for _, x := range p {
+		sum += x
+	}
+	if !almostEqual(sum, 1, 1e-12) {
+		t.Fatalf("shape sums to %v, want 1", sum)
 	}
 	if !almostEqual(p[2], 0.5, 1e-12) {
 		t.Fatalf("p[2] = %v, want 0.5", p[2])
@@ -194,9 +198,6 @@ func TestCoarsenRejectsUneven(t *testing.T) {
 func TestDistances(t *testing.T) {
 	a := []float64{0, 0, 3}
 	b := []float64{0, 4, 0}
-	if got := L1Distance(a, b); got != 7 {
-		t.Fatalf("L1 = %v, want 7", got)
-	}
 	if got := L2Distance(a, b); got != 5 {
 		t.Fatalf("L2 = %v, want 5", got)
 	}
@@ -217,11 +218,13 @@ func TestL2AtMostL1Property(t *testing.T) {
 		n := 1 + rng.Intn(64)
 		a := make([]float64, n)
 		b := make([]float64, n)
+		var l1 float64
 		for i := range a {
 			a[i] = rng.NormFloat64() * 10
 			b[i] = rng.NormFloat64() * 10
+			l1 += math.Abs(a[i] - b[i])
 		}
-		return L2Distance(a, b) <= L1Distance(a, b)+1e-9
+		return L2Distance(a, b) <= l1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

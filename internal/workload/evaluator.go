@@ -38,9 +38,6 @@ func NewEvaluator(w *Workload) *Evaluator {
 	}
 }
 
-// Workload returns the workload this evaluator answers.
-func (e *Evaluator) Workload() *Workload { return e.w }
-
 // Bind points the evaluator at w, which must be over the dims the evaluator
 // was built for; the table is kept, so one pooled evaluator can answer every
 // workload of its shape in turn. It does not allocate.
@@ -105,17 +102,6 @@ func FillTable(table, data []float64, dims []int) {
 // full-domain prefix entry), at no extra cost.
 func (e *Evaluator) Total() float64 { return e.table[len(e.table)-1] }
 
-// Table1D exposes the evaluator's prefix table (len n+1, table[i] = sum of
-// the first i cells of the last Reset estimate), so a hot loop can read
-// range sums from it directly. It panics on 2D evaluators, whose table is a
-// summed-area layout.
-func (e *Evaluator) Table1D() []float64 {
-	if len(e.w.Dims) != 1 {
-		panic("workload: Table1D on a non-1D evaluator")
-	}
-	return e.table
-}
-
 // AnswerAll writes the answer of every query into dst and returns it. dst
 // must have length w.Size(); a nil dst allocates a fresh slice. With a
 // non-nil dst the call performs no allocations.
@@ -144,17 +130,4 @@ func (e *Evaluator) AnswerAll(dst []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// Answer returns the answer of query k against the last Reset estimate.
-func (e *Evaluator) Answer(k int) float64 {
-	switch len(e.w.Dims) {
-	case 1:
-		return e.table[e.w.hi0[k]+1] - e.table[e.w.lo0[k]]
-	default:
-		stride := e.w.Dims[1] + 1
-		y0, x0 := int(e.w.lo0[k]), int(e.w.lo1[k])
-		y1, x1 := int(e.w.hi0[k])+1, int(e.w.hi1[k])+1
-		return e.table[y1*stride+x1] - e.table[y0*stride+x1] - e.table[y1*stride+x0] + e.table[y0*stride+x0]
-	}
 }

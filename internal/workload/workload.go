@@ -241,20 +241,6 @@ func (w *Workload) CellWeights() []float64 {
 	return out
 }
 
-// Covers reports whether query k covers the flat cell index.
-func (w *Workload) Covers(k, cell int) bool {
-	switch len(w.Dims) {
-	case 1:
-		return cell >= int(w.lo0[k]) && cell <= int(w.hi0[k])
-	case 2:
-		nx := w.Dims[1]
-		y, x := cell/nx, cell%nx
-		return y >= int(w.lo0[k]) && y <= int(w.hi0[k]) && x >= int(w.lo1[k]) && x <= int(w.hi1[k])
-	default:
-		panic("workload: unsupported dimensionality")
-	}
-}
-
 // Sensitivity returns the L1 sensitivity of the workload when answered
 // directly: the maximum number of queries any single cell participates in.
 func (w *Workload) Sensitivity() float64 {

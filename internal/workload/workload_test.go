@@ -176,7 +176,7 @@ func TestCellWeights2DMatchesCovers(t *testing.T) {
 	for cell := 0; cell < 36; cell++ {
 		var want float64
 		for k := 0; k < w.Size(); k++ {
-			if w.Covers(k, cell) {
+			if covers(w, k, cell) {
 				want++
 			}
 		}
@@ -186,12 +186,24 @@ func TestCellWeights2DMatchesCovers(t *testing.T) {
 	}
 }
 
+// covers reports whether query k of w covers the flat cell index: the
+// cell-by-cell reference that CellWeights' difference-array sweep must match.
+func covers(w *Workload, k, cell int) bool {
+	if len(w.Dims) == 1 {
+		lo, hi := w.Range(k)
+		return cell >= lo && cell <= hi
+	}
+	y0, x0, y1, x1 := w.Rect(k)
+	y, x := cell/w.Dims[1], cell%w.Dims[1]
+	return y >= y0 && y <= y1 && x >= x0 && x <= x1
+}
+
 func TestCovers1D(t *testing.T) {
 	w := &Workload{Dims: []int{10}}
 	w.AddRange(2, 5)
 	cases := map[int]bool{1: false, 2: true, 5: true, 6: false}
 	for cell, want := range cases {
-		if got := w.Covers(0, cell); got != want {
+		if got := covers(w, 0, cell); got != want {
 			t.Fatalf("Covers(0,%d) = %v, want %v", cell, got, want)
 		}
 	}
