@@ -175,8 +175,8 @@ func BenchmarkConsistency(b *testing.B) {
 	}
 }
 
-// --- Serial vs parallel experiment runner (the determinism guarantee makes
-// these directly comparable: both produce bit-identical results) ---
+// --- Experiment runner at several worker counts (the determinism guarantee
+// makes these directly comparable: all produce bit-identical results) ---
 
 func runnerBenchConfig(b *testing.B) core.Config {
 	d, err := dataset.ByName("MEDCOST")
@@ -203,18 +203,8 @@ func runnerBenchConfig(b *testing.B) core.Config {
 	}
 }
 
-// BenchmarkRunSerial measures one experimental setting on the serial runner.
-func BenchmarkRunSerial(b *testing.B) {
-	cfg := runnerBenchConfig(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunParallel measures the identical setting on the worker pool at
-// several widths; compare against BenchmarkRunSerial for the speedup.
+// BenchmarkRunParallel measures one experimental setting at several worker
+// counts; workers=1 runs every cell inline and is the serial baseline.
 func BenchmarkRunParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -8,7 +8,7 @@
 //	dpbench -experiment fig1a            # quick grid (seconds..minutes)
 //	dpbench -experiment tab3b -full      # the paper's full grid (slow)
 //	dpbench -experiment all -workers 8   # bound the experiment worker pool
-//	dpbench -experiment fig1a -n 1048576 # 1D sweep at a million-bin domain
+//	dpbench -experiment fig1a -n 1024    # 1D grid at another domain size
 //	dpbench -list                        # print the mechanism registry
 //	dpbench serve -addr :8080 \
 //	  -datasets ADULT,TRACE -mechanisms IDENTITY,HB,DAWA -eps 0.05,0.1
@@ -45,12 +45,12 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"dpbench/internal/dataset"
 	"dpbench/internal/experiments"
 	"dpbench/internal/serve"
 	"dpbench/release"
@@ -64,13 +64,33 @@ func main() {
 	os.Exit(runExperiments(args))
 }
 
-// domain1DExperiments are the experiments whose grid honors the -n override;
-// the rest are 2D or sweep domains themselves, so a silently ignored -n
-// would mislead.
-var domain1DExperiments = map[string]bool{
-	"fig1a": true, "fig2a": true, "tab3a": true,
-	"find6": true, "find7": true, "find9": true,
-	"regret1d": true, "all": true,
+// artifact is one entry of the -experiment table, which lists the paper's
+// artifacts in the order 'all' runs them. domain1D marks the experiments
+// whose grid honours the -n override; the rest are 2D or fix their own
+// domains, so a silently ignored -n would mislead.
+type artifact struct {
+	name     string
+	domain1D bool
+	run      func(experiments.Options) error
+}
+
+var artifacts = []artifact{
+	{"fig1a", true, func(o experiments.Options) error { _, err := experiments.Fig1a(o); return err }},
+	{"fig1b", false, func(o experiments.Options) error { _, err := experiments.Fig1b(o); return err }},
+	{"fig2a", true, experiments.Fig2a},
+	{"fig2b", false, experiments.Fig2b},
+	{"fig2c", false, experiments.Fig2c},
+	{"tab3a", true, func(o experiments.Options) error { _, err := experiments.Table3(o, false); return err }},
+	{"tab3b", false, func(o experiments.Options) error { _, err := experiments.Table3(o, true); return err }},
+	{"find6", true, func(o experiments.Options) error { _, err := experiments.Finding6(o); return err }},
+	{"find7", true, func(o experiments.Options) error { _, err := experiments.Finding7(o); return err }},
+	{"find8", true, func(o experiments.Options) error { _, err := experiments.Finding8(o); return err }},
+	{"find9", true, func(o experiments.Options) error { _, err := experiments.Finding9(o); return err }},
+	{"find10", true, experiments.Finding10},
+	{"regret1d", true, func(o experiments.Options) error { _, err := experiments.Regret(o, false); return err }},
+	{"regret2d", false, func(o experiments.Options) error { _, err := experiments.Regret(o, true); return err }},
+	{"exch", false, experiments.Exchangeability},
+	{"cons", false, experiments.Consistency},
 }
 
 // runExperiments holds the real main so deferred cleanups (profile flushes)
@@ -82,7 +102,7 @@ func runExperiments(args []string) int {
 		full       = fs.Bool("full", false, "run the paper's full grid instead of the quick one")
 		seed       = fs.Int64("seed", 20160626, "random seed")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the experiment grid (results are identical for any value)")
-		domain1D   = fs.Int("n", 0, "override the 1D domain size (0 = the grid's default; planned mechanisms scale to 2^20 bins)")
+		domain1D   = fs.Int("n", 0, fmt.Sprintf("override the 1D domain size; must divide %d (0 = the grid's default)", dataset.MaxDomain1D))
 		audit      = fs.Bool("audit", false, "verify the privacy-budget ledger after every trial (output is identical; fails fast on any budget-math bug)")
 		list       = fs.Bool("list", false, "print the mechanism registry (name, dims, data dependence, composition) and exit")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -101,18 +121,41 @@ func runExperiments(args []string) int {
 		fmt.Fprintf(os.Stderr, "-workers must be >= 1, got %d; omit the flag to use all %d cores\n", *workers, runtime.GOMAXPROCS(0))
 		return 2
 	}
+	var names, honored []string
+	var selected []artifact
+	for _, e := range artifacts {
+		names = append(names, e.name)
+		if e.domain1D {
+			honored = append(honored, e.name)
+		}
+		if *experiment == "all" || *experiment == e.name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %v or 'all'\n", *experiment, names)
+		return 2
+	}
 	if *domain1D < 0 {
 		fmt.Fprintf(os.Stderr, "-n must be positive, got %d\n", *domain1D)
 		return 2
 	}
-	if *domain1D > 0 && !domain1DExperiments[*experiment] {
-		honored := make([]string, 0, len(domain1DExperiments))
-		for name := range domain1DExperiments {
-			honored = append(honored, name)
-		}
-		sort.Strings(honored)
-		fmt.Fprintf(os.Stderr, "-n only affects 1D-grid experiments (%s); %q would silently ignore it\n",
+	if *domain1D > 0 && *experiment != "all" && !selected[0].domain1D {
+		fmt.Fprintf(os.Stderr, "-n only affects 1D-grid experiments (%s all); %q would silently ignore it\n",
 			strings.Join(honored, " "), *experiment)
+		return 2
+	}
+	// The generator coarsens a 4096-bin source shape, so it can serve only
+	// the domain sizes that divide it.
+	if *domain1D > 0 && dataset.MaxDomain1D%*domain1D != 0 {
+		var allowed []string
+		for n := 1; n <= dataset.MaxDomain1D; n++ {
+			if dataset.MaxDomain1D%n == 0 {
+				allowed = append(allowed, strconv.Itoa(n))
+			}
+		}
+		fmt.Fprintf(os.Stderr, "-n must divide the generator's %d-bin source domain (one of %s), got %d\n",
+			dataset.MaxDomain1D, strings.Join(allowed, " "), *domain1D)
 		return 2
 	}
 	if *cpuProfile != "" && *cpuProfile == *memProfile {
@@ -154,49 +197,18 @@ func runExperiments(args []string) int {
 
 	opt := experiments.Options{Out: os.Stdout, Quick: !*full, Seed: *seed, Workers: *workers, Audit: *audit, Domain1D: *domain1D, Ctx: ctx}
 
-	runners := map[string]func() error{
-		"fig1a":    func() error { _, err := experiments.Fig1a(opt); return err },
-		"fig1b":    func() error { _, err := experiments.Fig1b(opt); return err },
-		"fig2a":    func() error { return experiments.Fig2a(opt) },
-		"fig2b":    func() error { return experiments.Fig2b(opt) },
-		"fig2c":    func() error { return experiments.Fig2c(opt) },
-		"tab3a":    func() error { _, err := experiments.Table3(opt, false); return err },
-		"tab3b":    func() error { _, err := experiments.Table3(opt, true); return err },
-		"find6":    func() error { _, err := experiments.Finding6(opt); return err },
-		"find7":    func() error { _, err := experiments.Finding7(opt); return err },
-		"find8":    func() error { _, err := experiments.Finding8(opt); return err },
-		"find9":    func() error { _, err := experiments.Finding9(opt); return err },
-		"find10":   func() error { return experiments.Finding10(opt) },
-		"regret1d": func() error { _, err := experiments.Regret(opt, false); return err },
-		"regret2d": func() error { _, err := experiments.Regret(opt, true); return err },
-		"exch":     func() error { return experiments.Exchangeability(opt) },
-		"cons":     func() error { return experiments.Consistency(opt) },
-	}
-	order := []string{"fig1a", "fig1b", "fig2a", "fig2b", "fig2c", "tab3a", "tab3b",
-		"find6", "find7", "find8", "find9", "find10", "regret1d", "regret2d", "exch", "cons"}
-
-	var names []string
-	if *experiment == "all" {
-		names = order
-	} else if _, ok := runners[*experiment]; ok {
-		names = []string{*experiment}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %v or 'all'\n", *experiment, order)
-		return 2
-	}
-
-	for _, name := range names {
+	for _, e := range selected {
 		start := time.Now()
-		fmt.Printf("=== %s ===\n", name)
-		if err := runners[name](); err != nil {
+		fmt.Printf("=== %s ===\n", e.name)
+		if err := e.run(opt); err != nil {
 			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "%s: interrupted\n", name)
+				fmt.Fprintf(os.Stderr, "%s: interrupted\n", e.name)
 				return 130
 			}
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			return 1
 		}
-		fmt.Printf("(%s completed in %v)\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }

@@ -48,8 +48,9 @@
 // guarantee: every (sample, trial, mechanism) cell draws from its own
 // SplitMix64-derived RNG stream and writes into a pre-sized,
 // coordinate-indexed slot, so output is bit-identical for every worker
-// count, including the serial path. Cancelling the context stops a grid
-// between cells without changing any value a completed run reports.
+// count, including one worker, which runs every cell inline. Cancelling the
+// context stops a grid between cells without changing any value a completed
+// run reports.
 //
 // Mechanism execution is split into Plan and Execute: Plan prepares an
 // executable release plan for one (data, workload, epsilon) cell — all
@@ -58,7 +59,7 @@
 // noise source. Run is exactly Plan followed by one Execute, so both entry
 // points are bit-identical (a registry-wide property test enforces it), and
 // every plan is safe for concurrent Execute — which is what lets the serve
-// layer share one precompiled plan across all requests, and the runners
+// layer share one precompiled plan across all requests, and the runner
 // share one plan per (sample, mechanism) across trials and workers.
 //
 // Noise sampling has one family: Laplace draws call math.Log and

@@ -88,9 +88,10 @@ func TestQuickstartPublicPathBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFacadeRunMatchesCoreRun pins the runner facade: dpbench.Run over a
-// public Config returns results bit-identical to internal/core.Run over the
-// equivalent core.Config, serial and parallel, audited and not.
+// TestFacadeRunMatchesCoreRun pins the runner facade: dpbench.Run and
+// dpbench.RunParallel over a public Config return results bit-identical to
+// internal/core.RunParallel at one worker over the equivalent core.Config,
+// audited and not.
 func TestFacadeRunMatchesCoreRun(t *testing.T) {
 	ctx := context.Background()
 	pubDS, err := dpbench.OpenDataset("TRACE")
@@ -119,7 +120,7 @@ func TestFacadeRunMatchesCoreRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		intr, err := core.Run(ctx, intCfg)
+		intr, err := core.RunParallel(ctx, intCfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

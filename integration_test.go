@@ -30,7 +30,7 @@ func TestEndToEnd1DPipeline(t *testing.T) {
 		Trials:      2,
 		Seed:        123,
 	}
-	results, err := core.Run(context.Background(), cfg)
+	results, err := core.RunParallel(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestEndToEnd2DPipeline(t *testing.T) {
 		Trials:      2,
 		Seed:        321,
 	}
-	results, err := core.Run(context.Background(), cfg)
+	results, err := core.RunParallel(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestHeadlineFindingScaleCrossover(t *testing.T) {
 			Workload: w, Algorithms: algos,
 			DataSamples: 2, Trials: 4, Seed: 777,
 		}
-		results, err := core.Run(context.Background(), cfg)
+		results, err := core.RunParallel(context.Background(), cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestHeadlineFindingBaselinesMatter(t *testing.T) {
 		Algorithms:  []algo.Algorithm{mustNew(t, "IDENTITY"), mustNew(t, "MWEM")},
 		DataSamples: 2, Trials: 3, Seed: 888,
 	}
-	results, err := core.Run(context.Background(), cfg)
+	results, err := core.RunParallel(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

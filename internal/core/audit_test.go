@@ -37,13 +37,13 @@ func auditConfig(t *testing.T, audit bool) Config {
 // TestRunAuditModeMatchesPlainRun asserts the audit's core contract at the
 // runner level: with Audit on, every trial passes the ledger check AND every
 // scaled error is bit-identical to the unaudited run — across the full 1D
-// roster, serially and in parallel.
+// roster, at one worker and at four.
 func TestRunAuditModeMatchesPlainRun(t *testing.T) {
-	plain, err := Run(context.Background(), auditConfig(t, false))
+	plain, err := RunParallel(context.Background(), auditConfig(t, false), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	audited, err := Run(context.Background(), auditConfig(t, true))
+	audited, err := RunParallel(context.Background(), auditConfig(t, true), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,8 @@
 // consistency). A Config names one setting of the task-specific components
 // (workload, dataset, mechanisms, loss); the experiments package assembles
 // the paper's 1D and 2D grids from the registries. The runner, the trainer
-// and the checkers execute every trial through one step, audited or not.
+// and the checkers execute every trial through one step, audited or not;
+// the runner is RunParallel, which runs inline at one worker.
 package core
 
 import (

@@ -94,7 +94,7 @@ func TestBenchmarkValidateCatchesMismatches(t *testing.T) {
 		"2D-only mechanism on 1D":      {Dataset: d1, Dims: []int{64}, Scale: 1000, Eps: 0.1, Workload: workload.Prefix(64), Algorithms: []algo.Algorithm{mustAlgo(t, "QUADTREE")}},
 	}
 	for name, cfg := range cases {
-		if _, err := Run(context.Background(), cfg); err == nil {
+		if _, err := RunParallel(context.Background(), cfg, 1); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
@@ -135,7 +135,7 @@ func TestRunProducesAllObservations(t *testing.T) {
 		Trials:      3,
 		Seed:        1,
 	}
-	results, err := Run(context.Background(), cfg)
+	results, err := RunParallel(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestRunDeterministic(t *testing.T) {
 			Seed:       99,
 		}
 	}
-	r1, err := Run(context.Background(), mk())
+	r1, err := RunParallel(context.Background(), mk(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(context.Background(), mk())
+	r2, err := RunParallel(context.Background(), mk(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +184,13 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunConfigValidation(t *testing.T) {
 	d, _ := dataset.ByName("ADULT")
-	if _, err := Run(context.Background(), Config{Dataset: d}); err == nil {
+	if _, err := RunParallel(context.Background(), Config{Dataset: d}, 1); err == nil {
 		t.Fatal("expected error for missing workload")
 	}
-	if _, err := Run(context.Background(), Config{Dataset: d, Workload: workload.Prefix(4)}); err == nil {
+	if _, err := RunParallel(context.Background(), Config{Dataset: d, Workload: workload.Prefix(4)}, 1); err == nil {
 		t.Fatal("expected error for missing algorithms")
 	}
-	if _, err := Run(context.Background(), Config{Dataset: d, Workload: workload.Prefix(4), Algorithms: []algo.Algorithm{mustAlgo(t, "IDENTITY")}}); err == nil {
+	if _, err := RunParallel(context.Background(), Config{Dataset: d, Workload: workload.Prefix(4), Algorithms: []algo.Algorithm{mustAlgo(t, "IDENTITY")}}, 1); err == nil {
 		t.Fatal("expected error for zero scale")
 	}
 }

@@ -7,15 +7,7 @@ import (
 	"sync"
 
 	"dpbench/internal/algo"
-	"dpbench/internal/vec"
 )
-
-// vecWithAnswers pairs one generated data sample with its true workload
-// answers.
-type vecWithAnswers struct {
-	x       *vec.Vector
-	trueAns []float64
-}
 
 // ParallelForCtx runs fn(0), ..., fn(n-1) on at most workers goroutines
 // (workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 runs inline). The
@@ -100,102 +92,77 @@ func parallelForWorkers(ctx context.Context, workers, n int, fn func(worker, i i
 	return firstErr
 }
 
-// RunParallel executes the same experimental setting as Run, fanning the
-// independent (sample, trial, algorithm) cells out over a bounded worker
-// pool, and returns bit-identical results: every cell draws from the same
-// deriveSeed RNG stream as the serial path and writes into a pre-sized slot
-// indexed by (sample, trial), so neither scheduling nor collection order can
-// affect the output. workers <= 0 falls back to cfg.Parallelism, then to
-// runtime.GOMAXPROCS(0); workers == 1 delegates to the serial Run outright,
-// paying zero pool or synchronization overhead. Each worker owns a private
-// scratch arena (workload evaluator, answer and estimate buffers), so cells
-// never contend on shared pools; the per-sample plans are built once and
-// shared read-only by every worker (plan Executes are concurrency-safe).
-// The first cell error cancels the remaining work and is propagated, and a
-// cancelled ctx stops dispatch of not-yet-started cells the same way.
+// RunParallel executes one experimental setting on at most workers
+// goroutines (workers <= 0 means runtime.GOMAXPROCS(0); one worker runs
+// every cell inline) and returns per-algorithm results in the order of
+// cfg.Algorithms. The run is sample-major: for each sample in turn it draws
+// the data vector, builds the sample's plans concurrently, and fans the
+// sample's (trial, algorithm) cells out, so only one sample's vector and
+// plans are alive at a time. Every (sample, trial, algorithm) cell draws
+// from its own deriveSeed stream and writes into the pre-sized slot
+// results[i].Errors[s*trials+t], so neither the worker count nor the
+// schedule can change a value, and algorithms do not perturb each other's
+// randomness. Each worker owns a private scratch arena; the plans are shared
+// read-only (plan Executes are concurrency-safe).
+//
+// The first error, or the cancellation of ctx, stops the dispatch of further
+// cells (in-flight cells finish) and is returned. Cancellation cannot change
+// any value a completed run reports.
 func RunParallel(ctx context.Context, cfg Config, workers int) ([]AlgResult, error) {
 	if workers <= 0 {
-		workers = cfg.Parallelism
-	}
-	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		return Run(ctx, cfg)
 	}
 	p, err := cfg.plan()
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 1: draw every data sample concurrently; each sample has its own
-	// generator stream, so sample s's vector is independent of who builds it.
-	xs := make([]*vecWithAnswers, p.samples)
-	err = ParallelForCtx(ctx, workers, p.samples, func(s int) error {
+	nalgs := len(cfg.Algorithms)
+	results := make([]AlgResult, nalgs)
+	for i, a := range cfg.Algorithms {
+		results[i] = AlgResult{Name: a.Name(), Errors: make([]float64, p.samples*p.trials)}
+	}
+	arenas := make([]*evalScratch, workers)
+	for s := 0; s < p.samples; s++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		x, trueAns, err := generateSample(cfg, s)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		xs[s] = &vecWithAnswers{x: x, trueAns: trueAns}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 1.5: prepare every (sample, algorithm) plan concurrently. Plan
-	// construction is deterministic, so build order cannot affect output.
-	nalgs := len(cfg.Algorithms)
-	plans := make([][]algo.Plan, p.samples)
-	for s := range plans {
-		plans[s] = make([]algo.Plan, nalgs)
-	}
-	err = ParallelForCtx(ctx, workers, p.samples*nalgs, func(c int) error {
-		s, i := c/nalgs, c%nalgs
-		pl, err := cfg.Algorithms[i].Plan(xs[s].x, cfg.Workload, cfg.Eps)
+		plans := make([]algo.Plan, nalgs)
+		err = ParallelForCtx(ctx, workers, nalgs, func(i int) error {
+			pl, err := cfg.Algorithms[i].Plan(x, cfg.Workload, cfg.Eps)
+			if err != nil {
+				return fmt.Errorf("core: planning %s on %s: %w", cfg.Algorithms[i].Name(), cfg.Dataset.Name, err)
+			}
+			plans[i] = pl
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("core: planning %s on %s: %w", cfg.Algorithms[i].Name(), cfg.Dataset.Name, err)
+			return nil, err
 		}
-		plans[s][i] = pl
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: fan out all cells, algorithm-major: cell c decodes to
-	// algorithm i = c / (samples*trials), then sample s and trial t in
-	// the serial loop's order. A mechanism's cells thus sit next to each
-	// other in the queue, so the trials of a slow mechanism (MWEM* at
-	// scale 1e7 takes several times any other) start together on
-	// different workers instead of one queue-length apart, where the
-	// last of them would run alone at the end of the cell. The schedule
-	// moves only when work starts: every cell keeps its own RNG stream
-	// and its result lands in results[i].Errors[s*trials+t]. Each worker
-	// keeps a private scratch arena for the whole phase — no pool
-	// traffic, no contention; the scratch never influences results, only
-	// where intermediates are stored.
-	results := newResults(cfg, p)
-	arenas := make([]*evalScratch, workers)
-	perAlg := p.samples * p.trials
-	err = parallelForWorkers(ctx, workers, nalgs*perAlg, func(worker, c int) error {
-		i := c / perAlg
-		s := (c % perAlg) / p.trials
-		t := c % p.trials
-		sc := arenas[worker]
-		if sc == nil {
-			sc = newEvalScratch(cfg.Workload)
-			arenas[worker] = sc
-		}
-		e, err := runCell(cfg, p, plans[s][i], xs[s].x, xs[s].trueAns, s, t, i, sc)
+		// Cells run algorithm-major (c = i*trials + t), so the trials of a
+		// slow mechanism (MWEM* at scale 1e7 takes several times any other)
+		// start together on different workers instead of one queue-length
+		// apart, where the last of them would run alone at the sample's end.
+		err = parallelForWorkers(ctx, workers, nalgs*p.trials, func(worker, c int) error {
+			i, t := c/p.trials, c%p.trials
+			sc := arenas[worker]
+			if sc == nil {
+				sc = newEvalScratch(cfg.Workload)
+				arenas[worker] = sc
+			}
+			e, err := runCell(cfg, p, plans[i], x, trueAns, s, t, i, sc)
+			if err != nil {
+				return err
+			}
+			results[i].Errors[s*p.trials+t] = e
+			return nil
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		results[i].Errors[s*p.trials+t] = e
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return results, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,10 +40,6 @@ type Config struct {
 	Seed int64
 	// Loss defaults to L2Loss.
 	Loss LossFunc
-	// Parallelism is the worker count RunParallel uses when its workers
-	// argument is <= 0. Zero means runtime.GOMAXPROCS(0). Serial Run
-	// ignores it.
-	Parallelism int
 	// Audit, when true, executes every trial through a ledger-backed noise
 	// meter and fails the run unless the mechanism's recorded spends sum to
 	// exactly Eps (within 1e-9) and match its declared composition plan.
@@ -72,8 +67,7 @@ func (r AlgResult) P95Error() float64 { return stats.Percentile(r.Errors, 95) }
 // seed (noise.NewRand's SplitMix64 source).
 func newRNG(seed int64) *rand.Rand { return noise.NewRand(uint64(seed)) }
 
-// runPlan is a Config with defaults applied, shared by Run and RunParallel so
-// both paths execute exactly the same cells.
+// runPlan is a Config with defaults applied.
 type runPlan struct {
 	samples, trials int
 	loss            LossFunc
@@ -102,19 +96,6 @@ func (cfg *Config) plan() (runPlan, error) {
 		p.loss = L2Loss
 	}
 	return p, nil
-}
-
-// newResults pre-sizes one error slot per (sample, trial) observation for
-// each algorithm, so serial and parallel execution fill identical layouts
-// regardless of completion order. Slot (s, t) lives at index s*trials+t,
-// matching the serial loop order.
-func newResults(cfg Config, p runPlan) []AlgResult {
-	results := make([]AlgResult, len(cfg.Algorithms))
-	for i, a := range cfg.Algorithms {
-		results[i].Name = a.Name()
-		results[i].Errors = make([]float64, p.samples*p.trials)
-	}
-	return results
 }
 
 // evalScratch holds the per-worker trial buffers: a reusable workload
@@ -156,22 +137,6 @@ func generateSample(cfg Config, s int) (*vec.Vector, []float64, error) {
 	return x, trueAns, nil
 }
 
-// buildPlans prepares one executable plan per algorithm for one sample's
-// data vector. Plans amortize all structure building across the sample's
-// trials; data-independent mechanisms additionally share their structures
-// process-wide, so repeated cells of a sweep pay for them once.
-func buildPlans(cfg Config, x *vec.Vector) ([]algo.Plan, error) {
-	plans := make([]algo.Plan, len(cfg.Algorithms))
-	for i, a := range cfg.Algorithms {
-		p, err := a.Plan(x, cfg.Workload, cfg.Eps)
-		if err != nil {
-			return nil, fmt.Errorf("core: planning %s on %s: %w", a.Name(), cfg.Dataset.Name, err)
-		}
-		plans[i] = p
-	}
-	return plans, nil
-}
-
 // executeTrial is the one trial step of every loop in this package: it runs
 // plan once into est on a fresh meter over rng. With audit set the trial
 // runs through algo.ExecuteAudited, which fails it unless a's budget ledger
@@ -200,54 +165,6 @@ func runCell(cfg Config, p runPlan, plan algo.Plan, x *vec.Vector, trueAns []flo
 	sc.ev.Reset(est)
 	sc.ev.AnswerAll(sc.estAns)
 	return ScaledError(p.loss(sc.estAns, trueAns), float64(cfg.Scale), p.q), nil
-}
-
-// Run executes one experimental setting and returns per-algorithm results in
-// the order of cfg.Algorithms. Each algorithm sees the same sequence of data
-// vectors; every (vector, trial, algorithm) triple gets an independent
-// deterministic RNG stream (derived via SplitMix64, see deriveSeed) so
-// results are reproducible and algorithms do not perturb each other's
-// randomness. Each (sample, algorithm) pair is planned once and the plan is
-// executed across all trials, so structure building is amortized out of the
-// trial loop. RunParallel computes the identical output concurrently.
-//
-// Cancelling ctx stops the run between cells: the current cell finishes, no
-// further cells start, and ctx.Err() is returned. Cancellation cannot change
-// any value a completed run reports — every cell's RNG stream is derived
-// from its coordinates, never from what ran before it.
-func Run(ctx context.Context, cfg Config) ([]AlgResult, error) {
-	p, err := cfg.plan()
-	if err != nil {
-		return nil, err
-	}
-	results := newResults(cfg, p)
-	sc := newEvalScratch(cfg.Workload)
-	for s := 0; s < p.samples; s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		x, trueAns, err := generateSample(cfg, s)
-		if err != nil {
-			return nil, err
-		}
-		plans, err := buildPlans(cfg, x)
-		if err != nil {
-			return nil, err
-		}
-		for t := 0; t < p.trials; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			for i := range cfg.Algorithms {
-				e, err := runCell(cfg, p, plans[i], x, trueAns, s, t, i, sc)
-				if err != nil {
-					return nil, err
-				}
-				results[i].Errors[s*p.trials+t] = e
-			}
-		}
-	}
-	return results, nil
 }
 
 // CompetitiveSet returns the names of algorithms that are competitive for

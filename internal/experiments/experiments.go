@@ -42,8 +42,9 @@ type Options struct {
 	// bit-identical with and without auditing.
 	Audit bool
 	// Domain1D, when positive, overrides the 1D domain size of every
-	// experiment (dpbench -n). The planned mechanisms scale to million-bin
-	// domains; see BenchmarkLargeDomain.
+	// experiment that runs a 1D grid (dpbench -n). It must divide
+	// dataset.MaxDomain1D: the generator only coarsens its 4096-bin source
+	// shapes. Million-bin trials are measured by BenchmarkLargeDomain.
 	Domain1D int
 	// Ctx, when non-nil, cancels a long experiment grid early: in-flight
 	// cells finish, no new cells start, and the context's error propagates
@@ -216,10 +217,9 @@ func (o Options) sweep(algos []algo.Algorithm, datasets []dataset.Dataset, dims 
 			DataSamples: o.samples(),
 			Trials:      o.trials(),
 			Seed:        o.Seed + int64(scale),
-			Parallelism: workers / grid,
 			Audit:       o.Audit,
 		}
-		results, err := core.RunParallel(o.ctx(), cfg, 0)
+		results, err := core.RunParallel(o.ctx(), cfg, workers/grid)
 		if err != nil {
 			return err
 		}

@@ -34,9 +34,6 @@ type Config struct {
 	// Seed makes the experiment reproducible: results are a pure function
 	// of (Config, Seed), identical for every worker count.
 	Seed int64
-	// Parallelism is the worker count RunParallel uses when its workers
-	// argument is <= 0. Zero means runtime.GOMAXPROCS(0).
-	Parallelism int
 	// Audit executes every trial through a ledger-backed noise meter and
 	// fails the run unless each mechanism's recorded spends sum to exactly
 	// Epsilon and match its declared composition plan. Results are
@@ -58,7 +55,6 @@ func (c Config) internal() core.Config {
 		DataSamples: c.DataSamples,
 		Trials:      c.Trials,
 		Seed:        c.Seed,
-		Parallelism: c.Parallelism,
 		Audit:       c.Audit,
 	}
 }
@@ -68,18 +64,18 @@ func (c Config) internal() core.Config {
 // Name, Errors, MeanError (risk-neutral) and P95Error (risk-averse).
 type Result = core.AlgResult
 
-// Run executes one experimental setting serially and returns per-mechanism
-// results in roster order. Every (sample, trial, mechanism) cell draws from
-// an independent deterministic RNG stream derived from Config.Seed, so
-// results are reproducible and mechanisms do not perturb each other's
-// randomness. Cancelling ctx stops the run between cells with ctx.Err().
+// Run executes one experimental setting on the calling goroutine and
+// returns per-mechanism results in roster order. Every (sample, trial,
+// mechanism) cell draws from an independent deterministic RNG stream
+// derived from Config.Seed, so results are reproducible and mechanisms do
+// not perturb each other's randomness. Cancelling ctx stops the run between
+// cells with ctx.Err(). Run is RunParallel with one worker.
 func Run(ctx context.Context, cfg Config) ([]Result, error) {
-	return core.Run(ctx, cfg.internal())
+	return core.RunParallel(ctx, cfg.internal(), 1)
 }
 
-// RunParallel is Run fanned out over a bounded worker pool (workers <= 0
-// means Config.Parallelism, then GOMAXPROCS). Results are bit-identical to
-// Run for every worker count.
+// RunParallel is Run on at most workers goroutines (workers <= 0 means
+// GOMAXPROCS). Results are bit-identical to Run for every worker count.
 func RunParallel(ctx context.Context, cfg Config, workers int) ([]Result, error) {
 	return core.RunParallel(ctx, cfg.internal(), workers)
 }
