@@ -284,7 +284,8 @@ func BenchmarkAlgoPHP(b *testing.B)      { benchAlgorithm1D(b, "PHP") }
 // building amortized away), next to BenchmarkAlgo* which pays Plan+Execute
 // per Run. The gap is what the experiment runner saves on every trial after
 // the first. The 2d/ set runs the tree mechanisms on the sweep's 128x128 grid;
-// the 2d-1e7/ set runs the mechanisms of the sweep's slowest cells.
+// the 2d-1e7/ set runs the mechanisms of the sweep's slowest cells, and the
+// 2d-1e5/ and 2d-1e3/ sets run MWEM* at the sweep's other two scales.
 func BenchmarkPlanExecute(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	gen := func(name string, scale int, dims ...int) *vec.Vector {
@@ -298,12 +299,13 @@ func BenchmarkPlanExecute(b *testing.B) {
 		}
 		return x
 	}
-	sets := []struct {
+	type benchSet struct {
 		prefix string
 		x      *vec.Vector
 		w      *workload.Workload
 		names  []string
-	}{
+	}
+	sets := []benchSet{
 		{"", gen("SEARCH", 1e5, 4096), workload.Prefix(4096),
 			[]string{"IDENTITY", "HB", "PRIVELET", "DAWA", "MWEM", "EFPA", "SF", "AHP", "PHP"}},
 		{"2d/", gen("ADULT-2D", 1e5, 128, 128), nil,
@@ -312,6 +314,12 @@ func BenchmarkPlanExecute(b *testing.B) {
 		{"2d-1e7/", gen("ADULT-2D", 1e7, 128, 128), workload.RandomRange2D(128, 128, 2000, rng),
 			[]string{"DPCUBE", "MWEM*", "AGRID"}},
 	}
+	// MWEM* sets its round count from eps*scale: T = 70, 20 and 5 at the
+	// sweep's scales 1e7, 1e5 and 1e3, here over the same rectangles.
+	rects := sets[len(sets)-1].w
+	sets = append(sets,
+		benchSet{"2d-1e5/", gen("ADULT-2D", 1e5, 128, 128), rects, []string{"MWEM*"}},
+		benchSet{"2d-1e3/", gen("ADULT-2D", 1e3, 128, 128), rects, []string{"MWEM*"}})
 	for _, set := range sets {
 		for _, name := range set.names {
 			x, w := set.x, set.w

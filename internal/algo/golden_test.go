@@ -1,11 +1,14 @@
 package algo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
+	"dpbench/internal/dataset"
 	"dpbench/internal/noise"
 	"dpbench/internal/transform"
 	"dpbench/internal/tree"
@@ -97,31 +100,38 @@ func refMWEMRun(m *MWEM, x *vec.Vector, w *workload.Workload, eps float64, rng *
 
 		for s := 0; s < sweeps; s++ {
 			for _, h := range history {
-				cur := refAnswerOne(w, h.query, est)
-				factor := (h.value - cur) / (2 * scale)
-				if factor > 30 {
-					factor = 30
-				} else if factor < -30 {
-					factor = -30
-				}
-				mult := math.Exp(factor)
-				var newTotal float64
-				for cell := 0; cell < n; cell++ {
-					if refCovers(w, h.query, cell) {
-						est[cell] *= mult
-					}
-					newTotal += est[cell]
-				}
-				if newTotal > 0 {
-					adj := scale / newTotal
-					for cell := range est {
-						est[cell] *= adj
-					}
-				}
+				refUpdate(w, est, scale, h.query, h.value)
 			}
 		}
 	}
 	return est, nil
+}
+
+// refUpdate is the reference multiplicative-weights step: it scales the
+// cells query k covers by the clamped factor, then renormalizes every cell
+// so the estimate sums to scale.
+func refUpdate(w *workload.Workload, est []float64, scale float64, k int, value float64) {
+	cur := refAnswerOne(w, k, est)
+	factor := (value - cur) / (2 * scale)
+	if factor > 30 {
+		factor = 30
+	} else if factor < -30 {
+		factor = -30
+	}
+	mult := math.Exp(factor)
+	var newTotal float64
+	for cell := range est {
+		if refCovers(w, k, cell) {
+			est[cell] *= mult
+		}
+		newTotal += est[cell]
+	}
+	if newTotal > 0 {
+		adj := scale / newTotal
+		for cell := range est {
+			est[cell] *= adj
+		}
+	}
 }
 
 // refCovers reports whether query k of w covers the flat cell index.
@@ -409,21 +419,62 @@ func TestMWEMStarGoldenMatchesReference(t *testing.T) {
 }
 
 func TestMWEMGoldenMatchesReference2D(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		x := goldenVec(t, rng, 8, 8)
-		w := workload.RandomRange2D(8, 8, 60, rand.New(rand.NewSource(seed+99)))
-		m := &MWEM{T: 5, UpdateSweeps: 2}
-		got, err := m.Run(x, w, 0.5, rand.New(rand.NewSource(seed*19+2)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := refMWEMRun(m, x, w, 0.5, rand.New(rand.NewSource(seed*19+2)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareWithinTolerance(t, got, want, seed, 64)
+	// 8x8 is a single tile; 64x64 at T = 70 (the sweep's round count at
+	// scale 1e7) crosses many tiles; 37x21 clips the edge tiles.
+	cases := []struct {
+		ny, nx, queries, rounds int
+		seeds                   int64
+	}{
+		{8, 8, 60, 5, 4},
+		{64, 64, 300, 70, 1},
+		{37, 21, 100, 20, 2},
 	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%dx%d/T=%d", c.ny, c.nx, c.rounds), func(t *testing.T) {
+			for seed := int64(1); seed <= c.seeds; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				x := goldenVec(t, rng, c.ny, c.nx)
+				w := workload.RandomRange2D(c.nx, c.ny, c.queries, rand.New(rand.NewSource(seed+99)))
+				m := &MWEM{T: c.rounds, UpdateSweeps: 2}
+				got, err := m.Run(x, w, 0.5, rand.New(rand.NewSource(seed*19+2)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := refMWEMRun(m, x, w, 0.5, rand.New(rand.NewSource(seed*19+2)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareWithinTolerance(t, got, want, seed, c.ny*c.nx)
+			}
+		})
+	}
+}
+
+// TestMWEMStarGoldenMatchesReference2D pins MWEM* on one of the sweep's
+// slowest cells: a registered 2D dataset at 128x128, scale 1e7 and eps 0.1
+// over 2000 random rectangles, where the private scale estimate (ScaleRho)
+// sets T = 70.
+func TestMWEMStarGoldenMatchesReference2D(t *testing.T) {
+	d, err := dataset.ByName("BJ-CABS-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	x, err := d.Generate(rng, 1e7, 128, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workload.RandomRange2D(128, 128, 2000, rng)
+	m := &MWEM{TFromSignal: DefaultTProfile, ScaleRho: 0.05, UpdateSweeps: 2, starred: true}
+	got, err := m.Run(x, w, 0.1, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refMWEMRun(m, x, w, 0.1, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareWithinTolerance(t, got, want, 41, x.N())
 }
 
 func compareWithinTolerance(t *testing.T, got, want []float64, seed int64, n int) {
@@ -437,7 +488,7 @@ func compareWithinTolerance(t *testing.T, got, want []float64, seed int64, n int
 		if denom < 1 {
 			denom = 1
 		}
-		if diff/denom > mwemTolerance {
+		if !(diff/denom <= mwemTolerance) { // a NaN fails too
 			t.Fatalf("seed %d n=%d cell %d: %v vs %v (rel diff %v)", seed, n, i, got[i], want[i], diff/denom)
 		}
 	}
@@ -460,6 +511,64 @@ func TestMWEMExactlyReproducible(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("cell %d: %v != %v — MWEM must be bit-reproducible for a fixed seed", i, a[i], b[i])
 		}
+	}
+
+	// 2D: a fresh state and the same state recycled after another trial
+	// give the same bits. The pool hands out one state, so the third
+	// Execute reuses it whatever sync.Pool keeps.
+	x2 := goldenVec(t, rng, 40, 36)
+	w2 := workload.RandomRange2D(36, 40, 200, rand.New(rand.NewSource(5)))
+	p, err := (&MWEM{T: 20, UpdateSweeps: 2}).Plan(x2, w2, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newMWEMState(w2.Dims, w2.Size(), 8)
+	p.(*mwemPlan).states = &sync.Pool{New: func() any { return st }}
+	runs := make([][]float64, 3)
+	for i, seed := range []int64{123, 456, 123} {
+		runs[i] = make([]float64, x2.N())
+		if err := p.Execute(noise.NewMeter(0.1, rand.New(rand.NewSource(seed))), runs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range runs[0] {
+		if runs[0][i] != runs[2][i] {
+			t.Fatalf("2D cell %d: fresh state %v, recycled state %v", i, runs[0][i], runs[2][i])
+		}
+	}
+}
+
+// TestMWEMOverflowGuardMatchesFlatReplay replays a history whose covering
+// query clamps to a +30 factor every time, so the raw weights would pass
+// 1e308 without the overflow guard in update. The guarded state must still
+// match a flat replay of the same history that renormalizes every step.
+func TestMWEMOverflowGuardMatchesFlatReplay(t *testing.T) {
+	const scale, reps = 1e4, 30 // e^(30*30) * 1e4 overflows a float64
+	for _, dims := range [][]int{{300}, {37, 21}} {
+		var w *workload.Workload
+		rng := rand.New(rand.NewSource(6))
+		if len(dims) == 1 {
+			w = workload.RandomRange(dims[0], 3, rng)
+			w.AddRange(2, dims[0]-3)
+		} else {
+			w = workload.RandomRange2D(dims[1], dims[0], 3, rng)
+			w.AddRect(2, 3, dims[0]-2, dims[1]-4)
+		}
+		hist := []measurement{{0, 0.2 * scale}, {1, 0.5 * scale}, {2, 0.1 * scale}, {3, 1e6 * scale}}
+		st := newMWEMState(w.Dims, w.Size(), len(hist))
+		st.bind(w)
+		st.reset(scale)
+		st.hist = append(st.hist, hist...)
+		flat := make([]float64, len(st.est))
+		uniformSpread(flat, 0, len(flat), scale)
+		for r := 0; r < reps; r++ {
+			st.replay()
+			for _, h := range hist {
+				refUpdate(w, flat, scale, h.query, h.value)
+			}
+		}
+		st.materialize()
+		compareWithinTolerance(t, st.est, flat, int64(len(dims)), len(flat))
 	}
 }
 
@@ -540,14 +649,37 @@ func TestMWEMUpdatePathZeroAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		st.hist = append(st.hist, measurement{query: (i * 97) % n, value: trueAns[(i*97)%n] + float64(i)})
 	}
+	checkMWEMStateAllocs(t, st, trueAns)
+
+	// The 2D state of the sweep's grid, over its 2000 rectangles.
+	w2 := workload.RandomRange2D(128, 128, 2000, rand.New(rand.NewSource(56)))
+	x2 := goldenVec(t, rng, 128, 128)
+	trueAns2, err := w2.Evaluate(x2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2 := newMWEMState(w2.Dims, w2.Size(), 8)
+	st2.bind(w2)
+	st2.reset(x2.Scale())
+	for i := 0; i < 8; i++ {
+		q := (i * 241) % w2.Size()
+		st2.hist = append(st2.hist, measurement{query: q, value: trueAns2[q] + float64(i)})
+	}
+	checkMWEMStateAllocs(t, st2, trueAns2)
+}
+
+// checkMWEMStateAllocs fails if a replay sweep or a selection round of st
+// allocates.
+func checkMWEMStateAllocs(t *testing.T, st *mwemState, trueAns []float64) {
+	t.Helper()
 	if allocs := testing.AllocsPerRun(50, func() { st.replay() }); allocs != 0 {
-		t.Fatalf("MWEM replay allocates %v per sweep, want 0", allocs)
+		t.Fatalf("MWEM replay over %v allocates %v per sweep, want 0", st.w.Dims, allocs)
 	}
 	selMeter := noise.NewMeter(1, rand.New(rand.NewSource(9)))
 	if allocs := testing.AllocsPerRun(50, func() {
 		q := st.selectQuery(trueAns, 0.05, selMeter)
 		st.chosen[q] = false // keep the candidate set non-empty across runs
 	}); allocs != 0 {
-		t.Fatalf("MWEM selection allocates %v per round, want 0", allocs)
+		t.Fatalf("MWEM selection over %v allocates %v per round, want 0", st.w.Dims, allocs)
 	}
 }
