@@ -50,8 +50,10 @@ type Planner interface {
 // afterwards that the mechanism spent exactly eps (within 1e-9; both over-
 // and under-spend fail) and that the ledger matches the mechanism's declared
 // composition plan. It is the enforcement point the paper's composition
-// claims (Section 2.1, Table 1) rest on: core.Run and the trainer call it for
-// every trial when audit mode is on.
+// claims (Section 2.1, Table 1) rest on. It is Plan followed by
+// ExecuteAudited: with audit mode on, the experiment runner and the trainer
+// reach the same audit for every trial through core.executeTrial ->
+// ExecuteAudited, and release.RunAudited exposes this function.
 func RunAudited(a Algorithm, x *vec.Vector, w *workload.Workload, eps float64, rng *rand.Rand) ([]float64, error) {
 	p, err := a.Plan(x, w, eps)
 	if err != nil {

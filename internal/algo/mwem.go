@@ -97,20 +97,20 @@ type measurement struct {
 // mwemState holds every buffer one MWEM run needs, allocated once up front
 // so the per-round selection and the history-replay update sweeps are
 // allocation-free. The estimate is kept in raw multiplicative-weights units
-// with a deferred normalization scalar: true estimate = est[i] * norm. The
+// with a deferred normalization scalar: true estimate = raw * norm. The
 // per-entry renormalization of the published algorithm divides every cell by
 // the current total; folding that division into norm turns each history
-// replay from O(history * n) into O(history * range), with one O(n)
-// materialization when the scalar is applied (once per sweep, and before
-// each selection step). The folding is algebraically exact — it changes
-// floating-point rounding only, at the ~1e-12 relative level (see the golden
-// tests, which pin the optimized output to the reference implementation).
+// replay step from O(n) into one rectangle multiply, which the lazy weight
+// structures below make cheaper still. The folding is algebraically exact —
+// it changes floating-point rounding only, at the ~1e-12 relative level (see
+// the golden tests, which pin the optimized output to the reference
+// implementation).
 type mwemState struct {
 	w      *workload.Workload // the plan's workload, set by bind
 	ev     *workload.Evaluator
-	est    []float64 // raw multiplicative weights; true estimate = est * norm
+	est    []float64 // the raw weights once materialize has flattened them
 	norm   float64   // deferred renormalization scalar
-	total  float64   // running raw total: sum(est), maintained incrementally
+	total  float64   // running raw total of the weights
 	scale  float64   // the (noisy or public) scale the estimate sums to
 	estAns []float64 // per-query answers of the current estimate
 	scores []float64 // exponential-mechanism scores
@@ -118,24 +118,20 @@ type mwemState struct {
 	chosen []bool    // queries already selected (reusable, replaces a map)
 	hist   []measurement
 
-	// seg holds the raw weights for 1D workloads, turning each history
-	// replay step from O(range) into O(log n); est then only materializes
-	// for the per-round selection. Nil for 2D (rectangles don't map to one
-	// segment-tree range). See mulSegTree for the numerical contract.
-	seg *mulSegTree
+	// The raw weights live in exactly one of two lazy structures, which
+	// turn each history replay step from O(range) into O(log n) in 1D and
+	// into O(tiles + border cells) in 2D. Selection flattens them once per
+	// round. See mulSegTree and mulTileGrid for the numerical contract.
+	seg   *mulSegTree  // 1D; est is a separate output buffer
+	tiles *mulTileGrid // 2D; est aliases the tiles' cells
 }
 
 // newMWEMState allocates the state for workloads of q queries over dims. It
 // reads sizes only: states are pooled by shape, and bind points one at a
 // plan's workload before each trial.
 func newMWEMState(dims []int, q, rounds int) *mwemState {
-	n := dims[0]
-	if len(dims) == 2 {
-		n *= dims[1]
-	}
 	st := &mwemState{
 		ev:     workload.NewEvaluator(&workload.Workload{Dims: dims}),
-		est:    make([]float64, n),
 		estAns: make([]float64, q),
 		scores: make([]float64, q),
 		expBuf: make([]float64, q),
@@ -143,7 +139,11 @@ func newMWEMState(dims []int, q, rounds int) *mwemState {
 		hist:   make([]measurement, 0, rounds),
 	}
 	if len(dims) == 1 {
-		st.seg = newMulSegTree(n)
+		st.seg = newMulSegTree(dims[0])
+		st.est = make([]float64, dims[0])
+	} else {
+		st.tiles = newMulTileGrid(dims[0], dims[1])
+		st.est = st.tiles.cell
 	}
 	return st
 }
@@ -158,9 +158,11 @@ func (st *mwemState) bind(w *workload.Workload) {
 // reset re-initializes a (possibly recycled) state for a fresh trial at the
 // given scale: uniform estimate, no deferred scalar, empty history.
 func (st *mwemState) reset(scale float64) {
-	uniformSpread(st.est, 0, len(st.est), scale)
+	per := scale / float64(len(st.est))
 	if st.seg != nil {
-		st.seg.fill(scale / float64(len(st.est)))
+		st.seg.fill(per)
+	} else {
+		st.tiles.fill(per)
 	}
 	st.norm = 1
 	st.scale = scale
@@ -171,44 +173,36 @@ func (st *mwemState) reset(scale float64) {
 	st.hist = st.hist[:0]
 }
 
-// materialize applies the deferred scalar to every cell and recomputes the
-// raw total exactly, resetting the incremental drift of total. In 1D the
-// weights live in the segment tree, so the scalar is folded in as one
-// root-range multiply and the leaves are flattened into est.
+// materialize applies the deferred scalar to every weight, recomputes the
+// raw total exactly (resetting its incremental drift) and leaves the
+// weights flat in est. In 1D the scalar is folded in as one root-range
+// multiply and the leaves are copied into est; in 2D the tiles fold it into
+// their cells along with their multipliers.
 func (st *mwemState) materialize() {
-	if st.seg != nil {
-		if st.norm != 1 {
-			st.seg.MulRange(0, len(st.est), st.norm)
-			st.norm = 1
-			st.total = st.seg.Total()
-		}
-		st.seg.MaterializeInto(st.est)
+	if st.tiles != nil {
+		st.total = st.tiles.Flatten(st.norm)
+		st.norm = 1
 		return
 	}
 	if st.norm != 1 {
-		var total float64
-		for i, v := range st.est {
-			v *= st.norm
-			st.est[i] = v
-			total += v
-		}
-		st.total = total
+		st.seg.MulRange(0, len(st.est), st.norm)
 		st.norm = 1
+		st.total = st.seg.Total()
 	}
+	st.seg.MaterializeInto(st.est)
 }
 
 // select picks the worst-approximated not-yet-chosen query with the
 // exponential mechanism at budget epsSelect and marks it chosen. The
 // estimate stays in raw units: the evaluator answers raw range sums, which
-// the deferred scalar converts to true answers one multiply per query, so no
-// O(n) materialization pass is needed. The prefix table's final entry is the
-// exact raw total, which resets the incremental drift of total each round.
+// the deferred scalar converts to true answers one multiply per query. The
+// prefix table's final entry is the exact raw total, which resets the
+// incremental drift of total each round.
 func (st *mwemState) selectQuery(trueAns []float64, epsSelect float64, m *noise.Meter) int {
 	if st.seg != nil {
-		// In 1D the weights live in the tree (est is stale), so the
-		// table is built straight from its leaves.
 		st.ev.Reset(st.seg.Leaves())
 	} else {
+		st.tiles.Flatten(1)
 		st.ev.Reset(st.est)
 	}
 	st.total = st.ev.Total()
@@ -238,52 +232,17 @@ func (st *mwemState) replay() {
 
 // update applies one history entry: a multiplicative-weights step on the
 // cells the query covers, followed by renormalization to the scale, which is
-// folded into the deferred scalar instead of touching all n cells. In 1D the
-// range sum and the multiplicative step run on the segment tree in O(log n).
+// folded into the deferred scalar instead of touching all n cells. The range
+// sum and the multiplicative step run on the segment tree in 1D and on the
+// tiles in 2D.
 func (st *mwemState) update(h measurement) {
+	var rs float64 // raw sum of the query's range
 	if st.seg != nil {
 		lo, hi := st.w.Range(h.query)
-		rs := st.seg.CollectRange(lo, hi+1)
-		cur := rs * st.norm
-		factor := (h.value - cur) / (2 * st.scale)
-		if factor > 30 {
-			factor = 30
-		} else if factor < -30 {
-			factor = -30
-		}
-		st.seg.ApplyCollected(math.Exp(factor))
-		// Renormalize to the (noisy or public) scale via the deferred
-		// scalar; the tree's root is the exact current raw total.
-		st.total = st.seg.Total()
-		if st.total > 0 {
-			st.norm = st.scale / st.total
-		}
-		// Guard against raw-weight overflow/underflow when many large
-		// multiplicative steps accumulate before the scalar is applied.
-		if st.total > 1e280 || (st.total > 0 && st.total < 1e-280) {
-			st.materialize()
-		}
-		return
-	}
-	est := st.est
-	var rs float64 // raw sum of the query's range
-	var lo0, hi0 int
-	twoD := len(st.w.Dims) == 2
-	var y0, x0, y1, x1, nx int
-	if twoD {
-		y0, x0, y1, x1 = st.w.Rect(h.query)
-		nx = st.w.Dims[1]
-		for y := y0; y <= y1; y++ {
-			row := est[y*nx+x0 : y*nx+x1+1]
-			for _, v := range row {
-				rs += v
-			}
-		}
+		rs = st.seg.CollectRange(lo, hi+1)
 	} else {
-		lo0, hi0 = st.w.Range(h.query)
-		for _, v := range est[lo0 : hi0+1] {
-			rs += v
-		}
+		y0, x0, y1, x1 := st.w.Rect(h.query)
+		rs = st.tiles.CollectRect(y0, x0, y1+1, x1+1)
 	}
 	cur := rs * st.norm
 	factor := (h.value - cur) / (2 * st.scale)
@@ -293,23 +252,16 @@ func (st *mwemState) update(h measurement) {
 		factor = -30
 	}
 	mult := math.Exp(factor)
-	if twoD {
-		for y := y0; y <= y1; y++ {
-			row := est[y*nx+x0 : y*nx+x1+1]
-			for i := range row {
-				row[i] *= mult
-			}
-		}
+	// Renormalize to the (noisy or public) scale via the deferred scalar.
+	// The tree's root is the exact current raw total; the tiles' total is
+	// tracked incrementally.
+	if st.seg != nil {
+		st.seg.ApplyCollected(mult)
+		st.total = st.seg.Total()
 	} else {
-		row := est[lo0 : hi0+1]
-		for i := range row {
-			row[i] *= mult
-		}
+		st.tiles.ApplyCollected(mult)
+		st.total += rs * (mult - 1)
 	}
-	// Renormalize to the (noisy or public) scale: instead of scaling all n
-	// cells by scale/newTotal, track the new raw total incrementally and
-	// fold the scaling into the deferred scalar.
-	st.total += rs * (mult - 1)
 	if st.total > 0 {
 		st.norm = st.scale / st.total
 	}

@@ -34,15 +34,6 @@ const MaxDomain1D = 4096
 // MaxDomain2D is the side of the largest 2D domain (256 x 256).
 const MaxDomain2D = 256
 
-// Domains1D lists the 1D domain sizes of Section 6.1.
-var Domains1D = []int{256, 512, 1024, 2048, 4096}
-
-// Domains2D lists the 2D grid sides of Section 6.1 (32x32 ... 256x256).
-var Domains2D = []int{32, 64, 128, 256}
-
-// Scales lists the dataset scales of Section 6.1.
-var Scales = []int{1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
-
 // Dataset describes one source dataset from Table 2.
 type Dataset struct {
 	// Name is the paper's dataset identifier, e.g. "ADULT" or "BJ-CABS-S".

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dpbench/internal/dataset"
 )
 
 // tinyOptions shrinks everything to smoke-test size: these tests validate
@@ -32,6 +35,20 @@ func TestOptionsGrids(t *testing.T) {
 	}
 	if len(full.datasets1D()) != 18 || len(full.datasets2D()) != 9 {
 		t.Fatal("full mode must use every Table 2 dataset")
+	}
+	// Section 6.1: six scales from 1e3 to 1e8, split between the 1D and 2D
+	// figures; 1D domains up to 4096 bins and 2D grids up to 256x256.
+	scales := append(full.scales1D(), full.scales2D()...)
+	slices.Sort(scales)
+	if want := []int{1e3, 1e4, 1e5, 1e6, 1e7, 1e8}; !slices.Equal(scales, want) {
+		t.Fatalf("full scales %v, want Section 6.1's %v", scales, want)
+	}
+	if full.domain1D() != dataset.MaxDomain1D || dataset.MaxDomain1D != 4096 {
+		t.Fatalf("full 1D domain %d and generator maximum %d, want 4096", full.domain1D(), dataset.MaxDomain1D)
+	}
+	if dataset.MaxDomain2D != 256 || dataset.MaxDomain2D%full.domain2D() != 0 {
+		t.Fatalf("generator's 2D maximum %d, want 256 and a multiple of the full grid's side %d",
+			dataset.MaxDomain2D, full.domain2D())
 	}
 }
 
