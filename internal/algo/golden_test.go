@@ -538,6 +538,47 @@ func TestMWEMExactlyReproducible(t *testing.T) {
 	}
 }
 
+// TestMulTileGridMatchesFlat drives the tile grid and a flat vector through
+// the same random rectangle multiplies, on shapes with clipped edge tiles,
+// single rows and columns, and rectangles inside one tile.
+func TestMulTileGridMatchesFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range [][2]int{{1, 1}, {1, 13}, {13, 1}, {8, 8}, {9, 17}, {16, 24}, {37, 21}} {
+		ny, nx := d[0], d[1]
+		g := newMulTileGrid(ny, nx)
+		g.fill(1)
+		flat := make([]float64, ny*nx)
+		uniformSpread(flat, 0, len(flat), float64(len(flat)))
+		for step := 1; step <= 200; step++ {
+			y0, y1 := rng.Intn(ny), rng.Intn(ny)
+			x0, x1 := rng.Intn(nx), rng.Intn(nx)
+			y0, y1 = min(y0, y1), max(y0, y1)+1
+			x0, x1 = min(x0, x1), max(x0, x1)+1
+			var want float64
+			for y := y0; y < y1; y++ {
+				for x := x0; x < x1; x++ {
+					want += flat[y*nx+x]
+				}
+			}
+			if got := g.CollectRect(y0, x0, y1, x1); math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("%dx%d step %d: rectangle [%d,%d)x[%d,%d) sums to %v, want %v", ny, nx, step, y0, y1, x0, x1, got, want)
+			}
+			f := math.Exp(2*rng.Float64() - 1)
+			g.ApplyCollected(f)
+			for y := y0; y < y1; y++ {
+				for x := x0; x < x1; x++ {
+					flat[y*nx+x] *= f
+				}
+			}
+			if step%50 == 0 {
+				g.Flatten(1)
+			}
+		}
+		g.Flatten(1)
+		compareWithinTolerance(t, g.cell, flat, 11, ny*nx)
+	}
+}
+
 // TestMWEMOverflowGuardMatchesFlatReplay replays a history whose covering
 // query clamps to a +30 factor every time, so the raw weights would pass
 // 1e308 without the overflow guard in update. The guarded state must still

@@ -1,8 +1,9 @@
 package algo
 
-// tileSide is the side of mulTileGrid's square tiles. It was chosen by
-// timing MWEM* on the sweep's 128x128 grid at scale 1e7: side 8 ran ahead
-// of sides 4 and 16.
+// tileSide is the side of mulTileGrid's square tiles: a tile row is one
+// 64-byte cache line, the width blockSum and blockScale unroll. Replaying
+// MWEM*'s history on the sweep's 128x128 grid at scale 1e7 took about twice
+// as long with side 4 or 16.
 const tileSide = 8
 
 // mulTileGrid maintains MWEM's raw multiplicative weights over a 2D grid
@@ -30,32 +31,50 @@ type mulTileGrid struct {
 	mul    []float64 // per-tile pending multiplier
 	sum    []float64 // per-tile raw sum: mul[t] times the sum of its cells
 
-	// The half-open rectangle of the last CollectRect and the local sum of
-	// its cells in each tile its border cuts, so ApplyCollected multiplies
-	// the same rectangle without summing it again.
-	y0, x0, y1, x1 int
-	part           []float64
+	// The last CollectRect's rectangle, so ApplyCollected multiplies it
+	// without walking its tiles again: the block of tiles it covers whole,
+	// [wy0, wy1) x [wx0, wx1), and the ring of tiles its border cuts.
+	wy0, wy1, wx0, wx1 int
+	cuts               []cutBlock
+}
+
+// cutBlock is the part [rlo, rhi) x [clo, chi) of tile t that a rectangle
+// covers, and the sum of those cells in tile-local units.
+type cutBlock struct {
+	t, rlo, rhi, clo, chi int
+	part                  float64
 }
 
 func newMulTileGrid(ny, nx int) *mulTileGrid {
 	tilesX := (nx + tileSide - 1) / tileSide
-	tiles := tilesX * ((ny + tileSide - 1) / tileSide)
+	tilesY := (ny + tileSide - 1) / tileSide
 	return &mulTileGrid{
 		ny: ny, nx: nx, tilesX: tilesX,
 		cell: make([]float64, ny*nx),
-		mul:  make([]float64, tiles), sum: make([]float64, tiles),
-		part: make([]float64, tiles),
+		mul:  make([]float64, tilesX*tilesY), sum: make([]float64, tilesX*tilesY),
+		// A rectangle cuts at most its first and last tile rows whole and
+		// two tiles of every row between them.
+		cuts: make([]cutBlock, 0, 2*tilesX+2*tilesY),
 	}
 }
 
 // tileSpan returns the part [lo, hi) of tile k's extent on an axis of n
-// cells that the half-open range [a, b) covers, and whether it is the
-// tile's whole extent.
-func tileSpan(k, a, b, n int) (lo, hi int, whole bool) {
-	tlo := k * tileSide
-	thi := min(tlo+tileSide, n)
-	lo, hi = max(a, tlo), min(b, thi)
-	return lo, hi, lo == tlo && hi == thi
+// cells that the half-open range [a, b) covers.
+func tileSpan(k, a, b, n int) (lo, hi int) {
+	return max(a, k*tileSide), min(b, k*tileSide+tileSide, n)
+}
+
+// wholeTiles returns the tiles [lo, hi) whose whole extent on an axis of n
+// cells lies inside the half-open range [a, b); the last tile may be
+// clipped.
+func wholeTiles(a, b, n int) (lo, hi int) {
+	lo = (a + tileSide - 1) / tileSide
+	if b == n {
+		hi = (n + tileSide - 1) / tileSide
+	} else {
+		hi = b / tileSide
+	}
+	return lo, max(lo, hi)
 }
 
 // fill sets every cell to v and clears every pending multiplier.
@@ -73,43 +92,61 @@ func (g *mulTileGrid) fill(v float64) {
 // [x0, x1) and records it for ApplyCollected. MWEM's update step is this
 // pair: read the rectangle's sum, derive the factor, apply it.
 func (g *mulTileGrid) CollectRect(y0, x0, y1, x1 int) float64 {
-	g.y0, g.x0, g.y1, g.x1 = y0, x0, y1, x1
+	g.wy0, g.wy1 = wholeTiles(y0, y1, g.ny)
+	g.wx0, g.wx1 = wholeTiles(x0, x1, g.nx)
+	g.cuts = g.cuts[:0]
+	tx0, tx1 := x0/tileSide, (x1-1)/tileSide
 	var s float64
 	for ty := y0 / tileSide; ty*tileSide < y1; ty++ {
-		rlo, rhi, wholeY := tileSpan(ty, y0, y1, g.ny)
-		for tx := x0 / tileSide; tx*tileSide < x1; tx++ {
-			clo, chi, wholeX := tileSpan(tx, x0, x1, g.nx)
-			t := ty*g.tilesX + tx
-			if wholeY && wholeX {
-				s += g.sum[t]
-				continue
+		rlo, rhi := tileSpan(ty, y0, y1, g.ny)
+		if ty < g.wy0 || ty >= g.wy1 || g.wx0 == g.wx1 {
+			// A row the rectangle cuts, or one with no whole tile: every
+			// tile the rectangle reaches is cut.
+			for tx := tx0; tx <= tx1; tx++ {
+				s += g.collectCut(ty, tx, rlo, rhi, x0, x1)
 			}
-			p := g.blockSum(rlo, rhi, clo, chi)
-			g.part[t] = p
-			s += g.mul[t] * p
+			continue
+		}
+		row := ty * g.tilesX
+		for _, v := range g.sum[row+g.wx0 : row+g.wx1] {
+			s += v
+		}
+		if tx0 < g.wx0 {
+			s += g.collectCut(ty, tx0, rlo, rhi, x0, x1)
+		}
+		if tx1 >= g.wx1 {
+			s += g.collectCut(ty, tx1, rlo, rhi, x0, x1)
 		}
 	}
 	return s
+}
+
+// collectCut sums the cells of tile (ty, tx) inside rows [rlo, rhi) and the
+// rectangle's columns [x0, x1), records them as a cut and returns their raw
+// sum.
+func (g *mulTileGrid) collectCut(ty, tx, rlo, rhi, x0, x1 int) float64 {
+	clo, chi := tileSpan(tx, x0, x1, g.nx)
+	t := ty*g.tilesX + tx
+	p := g.blockSum(rlo, rhi, clo, chi)
+	g.cuts = append(g.cuts, cutBlock{t, rlo, rhi, clo, chi, p})
+	return g.mul[t] * p
 }
 
 // ApplyCollected multiplies the rectangle of the last CollectRect by f: a
 // whole tile's multiplier and sum absorb f, and a cut tile multiplies only
 // its covered cells and moves its sum by the change of their raw sum.
 func (g *mulTileGrid) ApplyCollected(f float64) {
-	y0, x0, y1, x1 := g.y0, g.x0, g.y1, g.x1
-	for ty := y0 / tileSide; ty*tileSide < y1; ty++ {
-		rlo, rhi, wholeY := tileSpan(ty, y0, y1, g.ny)
-		for tx := x0 / tileSide; tx*tileSide < x1; tx++ {
-			clo, chi, wholeX := tileSpan(tx, x0, x1, g.nx)
-			t := ty*g.tilesX + tx
-			if wholeY && wholeX {
-				g.mul[t] *= f
-				g.sum[t] *= f
-				continue
-			}
-			g.blockScale(rlo, rhi, clo, chi, f)
-			g.sum[t] += g.mul[t] * g.part[t] * (f - 1)
+	for ty := g.wy0; ty < g.wy1; ty++ {
+		lo, hi := ty*g.tilesX+g.wx0, ty*g.tilesX+g.wx1
+		mul, sum := g.mul[lo:hi], g.sum[lo:hi]
+		for i := range mul {
+			mul[i] *= f
+			sum[i] *= f
 		}
+	}
+	for _, c := range g.cuts {
+		g.blockScale(c.rlo, c.rhi, c.clo, c.chi, f)
+		g.sum[c.t] += g.mul[c.t] * c.part * (f - 1)
 	}
 }
 
@@ -120,9 +157,9 @@ func (g *mulTileGrid) ApplyCollected(f float64) {
 func (g *mulTileGrid) Flatten(f float64) float64 {
 	var total float64
 	for ty := 0; ty*tileSide < g.ny; ty++ {
-		rlo, rhi, _ := tileSpan(ty, 0, g.ny, g.ny)
+		rlo, rhi := tileSpan(ty, 0, g.ny, g.ny)
 		for tx := 0; tx*tileSide < g.nx; tx++ {
-			clo, chi, _ := tileSpan(tx, 0, g.nx, g.nx)
+			clo, chi := tileSpan(tx, 0, g.nx, g.nx)
 			t := ty*g.tilesX + tx
 			g.blockScale(rlo, rhi, clo, chi, g.mul[t]*f)
 			s := g.blockSum(rlo, rhi, clo, chi)
