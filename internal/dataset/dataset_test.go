@@ -213,6 +213,33 @@ func TestGenerateZeroCellsNeverReceiveMass(t *testing.T) {
 	}
 }
 
+// Section 6.1 draws every dataset at six scales, 1e3 to 1e8, on 1D domains of
+// up to 4096 bins and 2D grids of up to 256x256. The generator must hold both
+// maxima and hit every scale exactly on them; the experiments' own grids are
+// checked against the maxima in experiments.TestOptionsGrids.
+func TestScalesAndDomainsMatchPaper(t *testing.T) {
+	if MaxDomain1D != 4096 || MaxDomain2D != 256 {
+		t.Fatalf("maximum domains %d and %dx%d, want Section 6.1's 4096 and 256x256",
+			MaxDomain1D, MaxDomain2D, MaxDomain2D)
+	}
+	d1, _ := ByName("ADULT")
+	d2, _ := ByName("GOWALLA")
+	rng := rand.New(rand.NewSource(1))
+	for _, scale := range []int{1e3, 1e4, 1e5, 1e6, 1e7, 1e8} {
+		x1, err := d1.Generate(rng, scale, MaxDomain1D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x2, err := d2.Generate(rng, scale, MaxDomain2D, MaxDomain2D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x1.Scale() != float64(scale) || x2.Scale() != float64(scale) {
+			t.Fatalf("scale %d: generated %v tuples in 1D and %v in 2D", scale, x1.Scale(), x2.Scale())
+		}
+	}
+}
+
 func TestDenseDatasetsHaveNoZeros(t *testing.T) {
 	for _, name := range []string{"BIDS-FJ", "BIDS-FM", "BIDS-ALL", "LC-DTIR-F1", "LC-DTIR-ALL"} {
 		d, err := ByName(name)
