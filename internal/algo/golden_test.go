@@ -579,37 +579,66 @@ func TestMulTileGridMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestMWEMOverflowGuardMatchesFlatReplay replays a history whose covering
-// query clamps to a +30 factor every time, so the raw weights would pass
-// 1e308 without the overflow guard in update. The guarded state must still
-// match a flat replay of the same history that renormalizes every step.
+// TestMWEMOverflowGuardMatchesFlatReplay replays two histories whose
+// factors clamp to +-30 every time, and the guarded state must match a flat
+// replay of the same history that renormalizes every step. In the first, a
+// covering query clamps to +30, so the raw weights would pass 1e308 without
+// the overflow guard in update. In the second, a query covering one 8x8
+// tile (a segment of eight cells in 1D) clamps to -30 and its two halves to
+// +30: the raw total stays put, but each replay divides the whole tile's
+// multiplier by e^30 and multiplies its cut cells by e^30, so without the
+// fold in collectCut the cells overflow after about 24 replays.
 func TestMWEMOverflowGuardMatchesFlatReplay(t *testing.T) {
 	const scale, reps = 1e4, 30 // e^(30*30) * 1e4 overflows a float64
-	for _, dims := range [][]int{{300}, {37, 21}} {
-		var w *workload.Workload
-		rng := rand.New(rand.NewSource(6))
-		if len(dims) == 1 {
-			w = workload.RandomRange(dims[0], 3, rng)
-			w.AddRange(2, dims[0]-3)
-		} else {
-			w = workload.RandomRange2D(dims[1], dims[0], 3, rng)
-			w.AddRect(2, 3, dims[0]-2, dims[1]-4)
-		}
-		hist := []measurement{{0, 0.2 * scale}, {1, 0.5 * scale}, {2, 0.1 * scale}, {3, 1e6 * scale}}
-		st := newMWEMState(w.Dims, w.Size(), len(hist))
-		st.bind(w)
-		st.reset(scale)
-		st.hist = append(st.hist, hist...)
-		flat := make([]float64, len(st.est))
-		uniformSpread(flat, 0, len(flat), scale)
-		for r := 0; r < reps; r++ {
-			st.replay()
-			for _, h := range hist {
-				refUpdate(w, flat, scale, h.query, h.value)
+	for _, tc := range []struct {
+		name  string
+		dims  []int
+		drift bool
+	}{
+		{"covering-1d", []int{300}, false},
+		{"covering-2d", []int{37, 21}, false},
+		{"tile-halves-1d", []int{300}, true},
+		{"tile-halves-2d", []int{37, 21}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w *workload.Workload
+			switch rng := rand.New(rand.NewSource(6)); {
+			case tc.drift && len(tc.dims) == 1:
+				w = &workload.Workload{Dims: tc.dims}
+				w.AddRange(8, 15)
+				w.AddRange(8, 11)
+				w.AddRange(12, 15)
+			case tc.drift:
+				w = &workload.Workload{Dims: tc.dims}
+				w.AddRect(8, 8, 15, 15)
+				w.AddRect(8, 8, 15, 11)
+				w.AddRect(8, 12, 15, 15)
+			case len(tc.dims) == 1:
+				w = workload.RandomRange(tc.dims[0], 3, rng)
+				w.AddRange(2, tc.dims[0]-3)
+			default:
+				w = workload.RandomRange2D(tc.dims[1], tc.dims[0], 3, rng)
+				w.AddRect(2, 3, tc.dims[0]-2, tc.dims[1]-4)
 			}
-		}
-		st.materialize()
-		compareWithinTolerance(t, st.est, flat, int64(len(dims)), len(flat))
+			hist := []measurement{{0, 0.2 * scale}, {1, 0.5 * scale}, {2, 0.1 * scale}, {3, 1e6 * scale}}
+			if tc.drift {
+				hist = []measurement{{0, -1e6 * scale}, {1, 1e6 * scale}, {2, 1e6 * scale}}
+			}
+			st := newMWEMState(w.Dims, w.Size(), len(hist))
+			st.bind(w)
+			st.reset(scale)
+			st.hist = append(st.hist, hist...)
+			flat := make([]float64, len(st.est))
+			uniformSpread(flat, 0, len(flat), scale)
+			for r := 0; r < reps; r++ {
+				st.replay()
+				for _, h := range hist {
+					refUpdate(w, flat, scale, h.query, h.value)
+				}
+			}
+			st.materialize()
+			compareWithinTolerance(t, st.est, flat, int64(len(tc.dims)), len(flat))
+		})
 	}
 }
 

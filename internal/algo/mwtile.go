@@ -1,9 +1,10 @@
 package algo
 
 // tileSide is the side of mulTileGrid's square tiles: a tile row is one
-// 64-byte cache line, the width blockSum and blockScale unroll. Replaying
-// MWEM*'s history on the sweep's 128x128 grid at scale 1e7 took about twice
-// as long with side 4 or 16.
+// 64-byte cache line, the width blockSum and blockScale unroll. Even with
+// the general block loops alone, side 8 was the fastest of 4, 8 and 16 in
+// BenchmarkPlanExecute/2d-1e7/MWEM* on a 2-vCPU Xeon (27.9, 26.5 and
+// 32.2 ms, medians of 7 alternating runs).
 const tileSide = 8
 
 // mulTileGrid maintains MWEM's raw multiplicative weights over a 2D grid
@@ -17,12 +18,12 @@ const tileSide = 8
 // whole tiles and 760 cells in 24 cut tiles, in place of about 4,000 cells.
 //
 // Numerical contract, as for mulSegTree: a whole tile's pending factors are
-// combined before they reach its cells, cells are summed in a fixed
-// pairwise order, and a cut tile's sum moves by the change of its covered
-// cells' sum, so values agree with the sequential in-place loop only to
-// ~1e-12 relative (the MWEM golden tests pin 1e-9). Flatten folds the
-// multipliers into the cells and recomputes every tile sum from its cells,
-// which clears the drift of those sum updates. All operations are
+// combined before they reach its cells, a range sum adds tile sums and
+// block sums in a fixed order, and a cut tile's sum moves by the change of
+// its covered cells' sum, so values agree with the sequential in-place loop
+// only to ~1e-12 relative (the MWEM golden tests pin 1e-9). Flatten folds
+// the multipliers into the cells and recomputes every tile sum from its
+// cells, which clears the drift of those sum updates. All operations are
 // deterministic and allocation-free after construction.
 type mulTileGrid struct {
 	ny, nx int       // grid rows and columns
@@ -123,10 +124,20 @@ func (g *mulTileGrid) CollectRect(y0, x0, y1, x1 int) float64 {
 
 // collectCut sums the cells of tile (ty, tx) inside rows [rlo, rhi) and the
 // rectangle's columns [x0, x1), records them as a cut and returns their raw
-// sum.
+// sum. A tile whose pending multiplier has left [1e-12, 1e12] is flattened
+// first, as mulSegTree pushes a pending factor down before a partial
+// update: whole-tile and cut factors of opposite signs would otherwise
+// drive the multiplier and the cells apart while the raw total, which
+// update's overflow guard watches, stays put. The guard holds the raw total
+// under 1e280 before each step and a step's factor is at most e^30, so a
+// cut cell, its raw weight over a multiplier of at least 1e-12, stays under
+// 1.1e305.
 func (g *mulTileGrid) collectCut(ty, tx, rlo, rhi, x0, x1 int) float64 {
 	clo, chi := tileSpan(tx, x0, x1, g.nx)
 	t := ty*g.tilesX + tx
+	if m := g.mul[t]; m < 1e-12 || m > 1e12 {
+		g.flattenTile(ty, tx, 1)
+	}
 	p := g.blockSum(rlo, rhi, clo, chi)
 	g.cuts = append(g.cuts, cutBlock{t, rlo, rhi, clo, chi, p})
 	return g.mul[t] * p
@@ -157,24 +168,32 @@ func (g *mulTileGrid) ApplyCollected(f float64) {
 func (g *mulTileGrid) Flatten(f float64) float64 {
 	var total float64
 	for ty := 0; ty*tileSide < g.ny; ty++ {
-		rlo, rhi := tileSpan(ty, 0, g.ny, g.ny)
 		for tx := 0; tx*tileSide < g.nx; tx++ {
-			clo, chi := tileSpan(tx, 0, g.nx, g.nx)
-			t := ty*g.tilesX + tx
-			g.blockScale(rlo, rhi, clo, chi, g.mul[t]*f)
-			s := g.blockSum(rlo, rhi, clo, chi)
-			g.mul[t], g.sum[t] = 1, s
-			total += s
+			total += g.flattenTile(ty, tx, f)
 		}
 	}
 	return total
 }
 
+// flattenTile multiplies tile (ty, tx)'s cells by f times its pending
+// multiplier, resets the multiplier to 1 and returns the tile's sum,
+// recomputed from its cells.
+func (g *mulTileGrid) flattenTile(ty, tx int, f float64) float64 {
+	rlo, rhi := tileSpan(ty, 0, g.ny, g.ny)
+	clo, chi := tileSpan(tx, 0, g.nx, g.nx)
+	t := ty*g.tilesX + tx
+	g.blockScale(rlo, rhi, clo, chi, g.mul[t]*f)
+	s := g.blockSum(rlo, rhi, clo, chi)
+	g.mul[t], g.sum[t] = 1, s
+	return s
+}
+
 // blockSum returns the sum of the cells [rlo, rhi) x [clo, chi), a block
 // inside one tile. A block eight cells wide or eight rows high, the usual
 // shape of a cut tile, is summed a row or a column at a time as a pairwise
-// tree: that shortens the chain of dependent adds, and the fixed inner
-// length spares the branch mispredictions of a loop over a varying width.
+// tree. These two shapes here and in blockScale earn their place: in ten
+// traced sweep pairs (2-vCPU Xeon) they cut MWEM* 2D's time per Execute to
+// 0.68 of the general loop's alone, ahead in all ten.
 func (g *mulTileGrid) blockSum(rlo, rhi, clo, chi int) float64 {
 	nx, cell := g.nx, g.cell
 	var p float64
