@@ -281,7 +281,7 @@ func runServe(args []string) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("dpbench serve: listening on %s (datasets=%s mechanisms=%s eps=%s key-budget=%g)\n",
@@ -300,6 +300,29 @@ func runServe(args []string) int {
 		}
 		fmt.Println("serve: drained and stopped")
 		return 0
+	}
+}
+
+// Time limits on each serve connection. A query body is read whole before
+// it is parsed, so without them a client that trickles its body holds a
+// handler and its buffer for as long as it likes. Each is generous: a 1 MiB
+// body on a slow link, and a response held up by a stalled ledger fsync.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns the serve subcommand's HTTP server for h on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

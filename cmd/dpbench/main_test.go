@@ -1,8 +1,10 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRunExperimentsExitCodes pins the experiment CLI's up-front checks: a
@@ -24,6 +26,29 @@ func TestRunExperimentsExitCodes(t *testing.T) {
 	for _, c := range cases {
 		if got := runExperiments(c.args); got != c.want {
 			t.Errorf("dpbench %s: exit %d, want %d", strings.Join(c.args, " "), got, c.want)
+		}
+	}
+}
+
+// TestNewHTTPServerTimeouts pins the serve listener's time limits: a slow or
+// stalled client must not hold a handler for ever.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	s := newHTTPServer(":0", h)
+	if s.Addr != ":0" || s.Handler != h {
+		t.Errorf("server on %q with handler %v, want :0 and the one given", s.Addr, s.Handler)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"ReadHeaderTimeout", s.ReadHeaderTimeout, readHeaderTimeout},
+		{"ReadTimeout", s.ReadTimeout, readTimeout},
+		{"WriteTimeout", s.WriteTimeout, writeTimeout},
+		{"IdleTimeout", s.IdleTimeout, idleTimeout},
+	} {
+		if c.got != c.want || c.got <= 0 {
+			t.Errorf("%s = %v, want %v (positive)", c.name, c.got, c.want)
 		}
 	}
 }

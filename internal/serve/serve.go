@@ -445,9 +445,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeQueryRequest(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return
 	}

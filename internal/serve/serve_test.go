@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -36,10 +37,13 @@ func smallConfig() Config {
 	}
 }
 
+// postQuery posts body, JSON-encoded unless it is a []byte, to /v1/query.
 func postQuery(t testing.TB, s *Server, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+	if raw, ok := body.([]byte); ok {
+		buf.Write(raw)
+	} else if err := json.NewEncoder(&buf).Encode(body); err != nil {
 		t.Fatalf("encoding request: %v", err)
 	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/query", &buf)
@@ -138,6 +142,13 @@ func TestServeBudgetExhaustionReturns429(t *testing.T) {
 
 func TestServeMalformedRequestsRejected(t *testing.T) {
 	s := testServer(t, smallConfig())
+	// A query that would be served, padded past the 1 MiB body cap: the cap
+	// holds whatever the body holds, so it is refused and charges nothing.
+	oversized, err := json.Marshal(QueryRequest{Key: "k", Dataset: "ADULT", Mechanism: "DAWA", Epsilon: 0.1, Ranges: []Range{{0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversized = append(oversized, bytes.Repeat([]byte(" "), 2<<20)...)
 	cases := []struct {
 		name string
 		body any
@@ -152,6 +163,7 @@ func TestServeMalformedRequestsRejected(t *testing.T) {
 		{"rects on 1D", QueryRequest{Key: "k", Dataset: "ADULT", Mechanism: "DAWA", Epsilon: 0.1, Rects: []Rect{{0, 0, 1, 1}}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"key": "k", "nope": 1}, http.StatusBadRequest},
 		{"not json", "}{", http.StatusBadRequest},
+		{"body over 1 MiB", oversized, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -406,35 +418,61 @@ func TestServeConcurrentClientsSharedPlan(t *testing.T) {
 
 // BenchmarkServeQuery measures end-to-end request throughput on the serving
 // hot path — JSON decode, budget charge, one plan Execute, prefix-sum
-// answering, JSON encode — against a precompiled HB plan at n=1024.
+// answering, JSON encode — for three bodies: three ranges against a
+// precompiled HB plan at n=1024, and the heavy requests of perfbench's serve
+// mix, 1000 ranges on that cell and 1000 rectangles against UGRID on
+// GOWALLA at 64x64.
 func BenchmarkServeQuery(b *testing.B) {
 	s := testServer(b, Config{
-		Datasets:    []string{"ADULT"},
-		Mechanisms:  []string{"HB"},
+		Datasets:    []string{"ADULT", "GOWALLA"},
+		Mechanisms:  []string{"HB", "UGRID"},
 		Epsilons:    []float64{0.1},
 		Domain1D:    1024,
+		Side2D:      64,
 		Scale:       100_000,
 		Seed:        1,
 		KeyBudget:   1e15, // never exhausts during the benchmark
 		TotalBudget: 1e16,
 	})
-	body, err := json.Marshal(QueryRequest{
-		Key: "bench", Dataset: "ADULT", Mechanism: "HB", Epsilon: 0.1,
-		Ranges: []Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 511}, {Lo: 256, Hi: 767}},
-	})
-	if err != nil {
-		b.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	interval := func(n int) (int, int) {
+		lo, hi := rng.Intn(n), rng.Intn(n)
+		return min(lo, hi), max(lo, hi)
 	}
-	h := s.Handler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+	ranges := make([]Range, 1000)
+	for i := range ranges {
+		ranges[i].Lo, ranges[i].Hi = interval(1024)
+	}
+	rects := make([]Rect, 1000)
+	for i := range rects {
+		rects[i].Y0, rects[i].Y1 = interval(64)
+		rects[i].X0, rects[i].X1 = interval(64)
+	}
+	for _, bc := range []struct {
+		name string
+		req  QueryRequest
+	}{
+		{"3ranges", QueryRequest{Dataset: "ADULT", Mechanism: "HB", Ranges: []Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 511}, {Lo: 256, Hi: 767}}}},
+		{"1000ranges", QueryRequest{Dataset: "ADULT", Mechanism: "HB", Ranges: ranges}},
+		{"1000rects", QueryRequest{Dataset: "GOWALLA", Mechanism: "UGRID", Rects: rects}},
+	} {
+		bc.req.Key, bc.req.Epsilon = "bench", 0.1
+		body, err := json.Marshal(bc.req)
+		if err != nil {
+			b.Fatal(err)
 		}
+		h := s.Handler()
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }
 

@@ -4,9 +4,12 @@
 # seeding the repo's performance trajectory: one snapshot per perf-relevant PR
 # makes regressions and wins diffable. Each benchmark's entry holds the median
 # of every reported unit over its runs, with the min and max ns/op beside the
-# median. After writing the snapshot, it diffs the medians against the latest
-# committed BENCH_*.json (an older single-run snapshot's value counts as its
-# median) and prints per-benchmark time/alloc deltas.
+# median, and the snapshot records the GOMAXPROCS the suite ran at. After
+# writing the snapshot, it diffs the medians against the latest committed
+# BENCH_*.json (an older single-run snapshot's value counts as its median)
+# and prints per-benchmark time/alloc deltas. Names are matched without the
+# -N suffix go test adds at GOMAXPROCS N > 1, and a benchmark whose two
+# snapshots ran at different GOMAXPROCS gets a note in place of its ratios.
 #
 # The suite covers every package, including the serving layer's end-to-end
 # request-throughput benchmarks (BenchmarkServeQuery and its WAL-backed
@@ -18,6 +21,7 @@
 #   scripts/bench.sh                 # full suite, default benchtime, 5 runs
 #   BENCHTIME=10x scripts/bench.sh   # bound per-benchmark iterations
 #   COUNT=10 scripts/bench.sh        # runs per benchmark (go test -count)
+#   GOMAXPROCS=1 scripts/bench.sh    # match a snapshot recorded on one CPU
 #   BENCH='AlgoMWEM|SweepSerial' scripts/bench.sh   # subset
 #   BENCH=ServeQuery scripts/bench.sh               # serving hot path (both
 #                                                   # in-memory and durable)
@@ -27,17 +31,20 @@ cd "$(dirname "$0")/.."
 benchtime="${BENCHTIME:-1s}"
 count="${COUNT:-5}"
 pattern="${BENCH:-.}"
+# Set explicitly, so the snapshot can record it: go test's default is the
+# number of CPUs the process may run on, which nproc reports.
+procs="${GOMAXPROCS:-$(nproc)}"
 out="BENCH_$(date +%Y%m%d).json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" ./... | tee "$raw"
+GOMAXPROCS="$procs" go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" ./... | tee "$raw"
 
 # Convert `go test -bench` lines into a JSON array, one entry per benchmark
 # in first-seen order: the median of each unit over the benchmark's runs,
 # plus the min and max ns/op. Units absent from a line (e.g. custom
 # -ReportMetric rows without -benchmem columns) are omitted.
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v benchtime="$benchtime" -v count="$count" '
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v benchtime="$benchtime" -v count="$count" -v procs="$procs" '
 # stat sorts the values of unit u over the runs of benchmark n and returns
 # their median, leaving the smallest and largest in lo and hi.
 function stat(n, u,    k, i, j, v, a) {
@@ -69,7 +76,7 @@ function stat(n, u,    k, i, j, v, a) {
     }
 }
 END {
-    printf "{\n  \"date\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"count\": %d,\n  \"benchmarks\": [", date, benchtime, count
+    printf "{\n  \"date\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"count\": %d,\n  \"gomaxprocs\": %d,\n  \"benchmarks\": [", date, benchtime, count, procs
     for (b = 1; b <= nb; b++) {
         n = order[b]
         line = sprintf("    {\"name\": \"%s\", \"runs\": %d, \"iterations\": %.10g", n, runs[n], stat(n, "iterations"))
@@ -103,26 +110,42 @@ git show "HEAD:$base" > "$basejson"
 echo
 echo "delta of medians vs committed $base (new/old; <1.00x is faster/leaner):"
 python3 - "$basejson" "$out" <<'PYEOF' 2>/dev/null || awk -v b="$base" 'BEGIN{print "  (python3 unavailable; skipping delta table)"}'
-import json, sys
+import json, re, sys
 
 def load(path):
+    """Returns the snapshot's GOMAXPROCS and its benchmarks by name, with
+    the -N suffix go test adds at GOMAXPROCS N > 1 stripped."""
     with open(path) as f:
-        return {b["name"]: b for b in json.load(f)["benchmarks"]}
+        snap = json.load(f)
+    benches = snap["benchmarks"]
+    procs = snap.get("gomaxprocs")
+    if procs is None:
+        # Older snapshots did not record it: every name carries the same
+        # -N at GOMAXPROCS N > 1, and none does at 1.
+        ends = {m.group(1) if m else None for m in (re.search(r"-(\d+)$", b["name"]) for b in benches)}
+        procs = int(ends.pop()) if len(ends) == 1 and None not in ends else 1
+    suffix = f"-{procs}"
+    strip = lambda n: n[: -len(suffix)] if procs > 1 and n.endswith(suffix) else n
+    return procs, {strip(b["name"]): b for b in benches}
 
-old, new = load(sys.argv[1]), load(sys.argv[2])
+(oldp, old), (newp, new) = load(sys.argv[1]), load(sys.argv[2])
+if oldp != newp:
+    print(f"  (the baseline ran at GOMAXPROCS {oldp} and this run at {newp}, so no ratio is printed;")
+    print(f"   rerun with GOMAXPROCS={oldp} scripts/bench.sh to compare)")
 rows = []
 for name in new:
     if name not in old:
-        rows.append((name, None, None))
+        rows.append((name, "    new ", "       -"))
+        continue
+    if oldp != newp:
+        rows.append((name, f"GOMAXPROCS {oldp}->{newp}", "       -"))
         continue
     o, n = old[name], new[name]
-    t = n["ns_per_op"] / o["ns_per_op"] if o.get("ns_per_op") else None
-    a = None
+    ts = f"{n['ns_per_op'] / o['ns_per_op']:7.2f}x" if o.get("ns_per_op") else "       -"
+    As = "       -"
     if o.get("allocs_per_op") and n.get("allocs_per_op") is not None:
-        a = n["allocs_per_op"] / o["allocs_per_op"]
-    rows.append((name, t, a))
-for name, t, a in sorted(rows):
-    ts = f"{t:7.2f}x" if t is not None else "    new "
-    As = f"{a:7.2f}x" if a is not None else "       -"
+        As = f"{n['allocs_per_op'] / o['allocs_per_op']:7.2f}x"
+    rows.append((name, ts, As))
+for name, ts, As in sorted(rows):
     print(f"  {name:<55s} time {ts}  allocs {As}")
 PYEOF
